@@ -36,23 +36,19 @@ BM_EventQueueScheduleExecute(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleExecute)->Arg(256)->Arg(4096);
 
 /**
- * Steady-state schedule/execute throughput of the two queue
- * implementations across pending-set sizes and time skews.  Each
- * executed event is replaced by a fresh one a pseudo-random delay in
- * [1, skew] ahead, holding the pending population constant -- the
- * schedule pattern of a saturated simulation.  Small skews keep every
- * event inside the calendar ring; the largest skew forces far-future
- * heap traffic.
+ * Steady-state schedule/execute throughput of the calendar queue
+ * across pending-set sizes and time skews.  Each executed event is
+ * replaced by a fresh one a pseudo-random delay in [1, skew] ahead,
+ * holding the pending population constant -- the schedule pattern of
+ * a saturated simulation.  Small skews keep every event inside the
+ * calendar ring; the largest skew forces far-future heap traffic.
  */
 void
 BM_EventQueuePendingSkew(benchmark::State &state)
 {
-    const auto kind = state.range(0) == 0 ? EventQueueKind::Heap
-                                          : EventQueueKind::Calendar;
-    const int pending = static_cast<int>(state.range(1));
-    const Tick skew = static_cast<Tick>(state.range(2));
+    const int pending = static_cast<int>(state.range(0));
+    const Tick skew = static_cast<Tick>(state.range(1));
     EventQueue q;
-    q.configure(kind, 512, 4096);
     std::uint64_t executed = 0;
     std::uint64_t rng = 0x9e3779b97f4a7c15ull;
     const auto next_delay = [&rng, skew] {
@@ -70,11 +66,10 @@ BM_EventQueuePendingSkew(benchmark::State &state)
     }
     benchmark::DoNotOptimize(executed);
     state.SetItemsProcessed(state.iterations());
-    state.SetLabel(kind == EventQueueKind::Heap ? "heap" : "calendar");
 }
 BENCHMARK(BM_EventQueuePendingSkew)
-    ->ArgNames({"calendar", "pending", "skew"})
-    ->ArgsProduct({{0, 1}, {64, 1024, 16384}, {100, 4000, 1000000}});
+    ->ArgNames({"pending", "skew"})
+    ->ArgsProduct({{64, 1024, 16384}, {100, 4000, 1000000}});
 
 void
 BM_DramServicePlanning(benchmark::State &state)

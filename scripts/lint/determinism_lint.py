@@ -27,10 +27,11 @@ promise:
                     then couples simulated behavior to allocator state;
                     use InlineEvent / InlineFunction instead.
   naked-packet-new  new HmcPacket / make_shared<HmcPacket> /
-                    malloc(sizeof(HmcPacket)) outside the pool-backed
-                    factory (hmc/packet.cc).  Bypassing the pool skews
-                    the allocator telemetry the perf trajectory gates on
-                    and dodges the pool's lifetime diagnostics.
+                    malloc(sizeof(HmcPacket)) outside the packet
+                    factory (hmc/packet.cc), the one place that assigns
+                    packet ids (nextPacketId) and validates payload
+                    size.  A packet built elsewhere carries no id or an
+                    unchecked payload.
 
 Waivers: a finding is suppressed by a comment on the same line or the
 immediately preceding line:
@@ -105,11 +106,9 @@ WAIVER_RE = re.compile(
 # time on purpose (self-profiler, perf trajectory).
 WALL_CLOCK_ALLOWED_PREFIX = os.path.join("src", "obs") + os.sep
 
-# The pool-backed packet factory and the pool itself.
+# The packet factory: assigns packet ids and validates payload size.
 PACKET_FACTORY_FILES = {
     os.path.join("src", "hmc", "packet.cc"),
-    os.path.join("src", "hmc", "packet_pool.h"),
-    os.path.join("src", "hmc", "packet_pool.cc"),
 }
 
 STD_FUNCTION_DIRS = (os.path.join("src", "sim") + os.sep,
@@ -246,8 +245,8 @@ def scan_stripped(rel, stripped, raw_lines):
         if not packet_factory and NAKED_PACKET_RE.search(line):
             findings.append(Finding(
                 "naked-packet-new", rel, idx,
-                "HmcPacket allocated outside the pool-backed factory "
-                "(hmc/packet.cc)"))
+                "HmcPacket allocated outside the packet factory "
+                "(hmc/packet.cc assigns ids and validates payloads)"))
         if order_sensitive and unordered_vars:
             m = re.search(r"for\s*\([^)]*:\s*(?:this->)?([A-Za-z_]\w*)\s*\)",
                           line)

@@ -18,10 +18,9 @@
  *
  * RealMutex is the annotated wrapper over std::mutex for the few
  * surfaces the parallel core genuinely shares across threads at the
- * same instant: partition mailboxes and the packet pool's registry /
- * orphan bins.  It exists because clang's thread-safety analysis can
- * only track capabilities that carry the attribute -- a bare
- * std::mutex would silence the GUARDED_BY checks.
+ * same instant: the partition mailboxes.  It exists because clang's
+ * thread-safety analysis can only track capabilities that carry the
+ * attribute -- a bare std::mutex would silence the GUARDED_BY checks.
  */
 
 #ifndef HMCSIM_COMMON_PARTITION_MUTEX_H_
@@ -86,7 +85,7 @@ class HMCSIM_SCOPED_CAPABILITY PartitionLock
 };
 
 /** Annotated real mutex for surfaces that genuinely cross threads
- *  (mailboxes, the packet pool registry). */
+ *  (partition mailboxes). */
 class HMCSIM_CAPABILITY("mutex") RealMutex
 {
   public:

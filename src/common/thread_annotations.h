@@ -6,8 +6,8 @@
  * event core (see ROADMAP "prong (b)") will run per-cube partitions on
  * their own threads with conservative lookahead at chain-link
  * boundaries.  Every piece of shared mutable state those partitions
- * will contend on -- the packet-pool freelist, the metrics registry,
- * the trace ring buffer, the event queue itself -- is annotated NOW,
+ * will contend on -- the metrics registry, the trace ring buffer, the
+ * event queue itself -- is annotated NOW,
  * so `clang -Wthread-safety` (-DHMCSIM_THREAD_SAFETY=ON) machine-checks
  * the locking discipline before the first thread ever lands, and every
  * later PR that touches shared state is forced to say which capability

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "common/log.h"
-#include "hmc/packet_pool.h"
 
 namespace hmcsim {
 
@@ -15,15 +14,6 @@ PacketId
 nextPacketId()
 {
     return g_next_packet_id.fetch_add(1, std::memory_order_relaxed);
-}
-
-/** Packet + shared_ptr control block in one (recycled) allocation. */
-template <typename... Args>
-HmcPacketPtr
-allocPacket(Args &&...args)
-{
-    return std::allocate_shared<HmcPacket>(PacketPoolAllocator<HmcPacket>{},
-                                           std::forward<Args>(args)...);
 }
 
 }  // namespace
@@ -81,14 +71,14 @@ HmcPacket::makeResponse() const
 HmcPacketPtr
 HmcPacket::makeResponsePtr() const
 {
-    return allocPacket(makeResponse());
+    return std::make_shared<HmcPacket>(makeResponse());
 }
 
 HmcPacketPtr
 makeReadRequest(Addr addr, std::uint32_t data_bytes, PortId port)
 {
     validateDataBytes(data_bytes);
-    auto p = allocPacket();
+    auto p = std::make_shared<HmcPacket>();
     p->id = nextPacketId();
     p->cmd = HmcCmd::Read;
     p->addr = addr;
@@ -101,7 +91,7 @@ HmcPacketPtr
 makeWriteRequest(Addr addr, std::uint32_t data_bytes, PortId port)
 {
     validateDataBytes(data_bytes);
-    auto p = allocPacket();
+    auto p = std::make_shared<HmcPacket>();
     p->id = nextPacketId();
     p->cmd = HmcCmd::Write;
     p->addr = addr;

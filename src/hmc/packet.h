@@ -131,7 +131,7 @@ struct HmcPacket {
      */
     HmcPacket makeResponse() const;
 
-    /** makeResponse() in a pool-allocated shared_ptr (the hot path). */
+    /** makeResponse() in a shared_ptr (the hot path). */
     std::shared_ptr<HmcPacket> makeResponsePtr() const;
 };
 

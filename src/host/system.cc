@@ -6,7 +6,6 @@
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/units.h"
-#include "hmc/packet_pool.h"
 
 namespace hmcsim {
 
@@ -100,12 +99,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 {
     cfg_.validate();
     entryCubes_ = cfg_.host.resolvedEntryCubes(cfg_.hmc.chain.numCubes);
-    // Engine selection happens before anything can schedule: the queue
-    // implementation and the packet pool trade only wall-clock speed,
-    // never event order (guarded by tests/sim + tests/host identity
-    // tests), so this cannot affect simulation results.
-    kernel_.queue().configure(cfg_.sim);
-    setPacketPoolEnabled(cfg_.sim.packetPool);
     if (cfg_.sim.parallelEnabled()) {
         // Conservative lookahead: the cheapest cross-partition
         // interaction.  A packet handoff costs at least one flit
@@ -128,8 +121,8 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
                 threads = std::min<std::uint32_t>(
                     threads, static_cast<std::uint32_t>(hw));
         }
-        kernel_.enableParallel(cfg_.sim, cfg_.hmc.chain.numCubes,
-                               threads, lookahead);
+        kernel_.enableParallel(cfg_.hmc.chain.numCubes, threads,
+                               lookahead);
     }
     // Published on the kernel before the tree is built so components
     // can register metrics / cache tracer pointers in their ctors.

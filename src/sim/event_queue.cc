@@ -42,32 +42,17 @@ struct EarlierCmp {
 
 }  // namespace
 
-EventQueue::EventQueue() = default;
-
-void
-EventQueue::configure(EventQueueKind kind, std::uint64_t bucketWidth,
-                      std::uint64_t numBuckets)
+EventQueue::EventQueue(std::uint64_t bucketWidth, std::uint64_t numBuckets)
 {
-    PartitionLock lock(mu_);
-    if (size_ != 0)
-        panic("EventQueue::configure with events pending");
-    kind_ = kind;
-    if (kind != EventQueueKind::Calendar)
-        return;
     if (!isPowerOfTwo(bucketWidth) || !isPowerOfTwo(numBuckets) ||
         numBuckets < 2)
-        panic("EventQueue::configure: calendar geometry must be "
-              "powers of two with >= 2 buckets");
-    shift_ = 0;
+        panic("EventQueue: calendar geometry must be powers of two with "
+              ">= 2 buckets");
+    PartitionLock lock(mu_);
     while ((Tick(1) << shift_) < bucketWidth)
         ++shift_;
-    ring_.clear();
     ring_.resize(static_cast<std::size_t>(numBuckets));
     ringMask_ = static_cast<std::size_t>(numBuckets) - 1;
-    curIdx_ = 0;
-    curBucketStart_ = 0;
-    ringCount_ = 0;
-    far_.clear();
 }
 
 void
@@ -86,7 +71,6 @@ void
 EventQueue::clear()
 {
     PartitionLock lock(mu_);
-    heap_.clear();
     for (Bucket &b : ring_) {
         b.v.clear();
         b.head = 0;
@@ -98,55 +82,6 @@ EventQueue::clear()
     curBucketStart_ = 0;
     size_ = 0;
 }
-
-// ---------------------------------------------------------------------
-// heap mode
-// ---------------------------------------------------------------------
-
-void
-EventQueue::heapPush(Entry &&e)
-{
-    heap_.push_back(std::move(e));
-    std::size_t i = heap_.size() - 1;
-    Entry item = std::move(heap_[i]);
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!laterThan(heap_[parent], item))
-            break;
-        heap_[i] = std::move(heap_[parent]);
-        i = parent;
-    }
-    heap_[i] = std::move(item);
-}
-
-EventQueue::Entry
-EventQueue::heapPop()
-{
-    Entry top = std::move(heap_.front());
-    Entry last = std::move(heap_.back());
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n != 0) {
-        std::size_t i = 0;
-        for (;;) {
-            std::size_t child = 2 * i + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n && laterThan(heap_[child], heap_[child + 1]))
-                ++child;
-            if (!laterThan(last, heap_[child]))
-                break;
-            heap_[i] = std::move(heap_[child]);
-            i = child;
-        }
-        heap_[i] = std::move(last);
-    }
-    return top;
-}
-
-// ---------------------------------------------------------------------
-// calendar mode
-// ---------------------------------------------------------------------
 
 void
 EventQueue::calendarPushSlow(Tick when, int priority, std::uint64_t seq,

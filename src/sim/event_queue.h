@@ -7,27 +7,20 @@
  * events, which keeps simulations deterministic regardless of queue
  * internals.
  *
- * Two interchangeable implementations live behind the one API, selected
- * by configure() (sim.event_queue):
+ * The queue is a two-level calendar tuned for the simulator's schedule
+ * pattern (almost all events land within a few link/DRAM latencies of
+ * now, densely packed in time).  Near-future events go into a
+ * power-of-two ring of time buckets; far-future events wait in an
+ * overflow min-heap and are pulled into the ring lazily as it
+ * advances.  Buckets append unsorted and sort lazily only when a
+ * bucket becomes current, so schedule() is O(1) and executeNext() is
+ * amortized O(k log k) over the handful of events sharing a bucket.
  *
- *  - heap: a move-based binary min-heap.  The reference implementation;
- *    simple, allocation-free after warmup, used for differential
- *    testing.
- *
- *  - calendar: a two-level calendar queue tuned for the simulator's
- *    schedule pattern (almost all events land within a few link/DRAM
- *    latencies of now, densely packed in time).  Near-future events go
- *    into a power-of-two ring of time buckets; far-future events wait
- *    in an overflow min-heap and are pulled into the ring lazily as it
- *    advances.  Buckets append unsorted and sort lazily only when a
- *    bucket becomes current, so schedule() is O(1) and executeNext()
- *    is amortized O(k log k) over the handful of events sharing a
- *    bucket -- beating the heap's O(log n) over the full pending set.
- *
- * Both orderings are exact: for any interleaving of schedule() and
- * executeNext() calls the two modes fire events in the identical
- * sequence (guarded by tests/sim/test_queue_differential.cc), so the
- * knob can never change simulation results, only wall-clock speed.
+ * The ordering is exact: for any interleaving of schedule() and
+ * executeNext() calls events fire in (time, priority, seq) order, the
+ * same order a plain priority queue gives (guarded by
+ * tests/sim/test_queue_differential.cc).  The bucket geometry can
+ * therefore change only wall-clock speed, never simulation results.
  */
 
 #ifndef HMCSIM_SIM_EVENT_QUEUE_H_
@@ -40,7 +33,6 @@
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "sim/inline_event.h"
-#include "sim/sim_config.h"
 
 namespace hmcsim {
 
@@ -68,38 +60,26 @@ struct EventPriority {
 class EventQueue
 {
   public:
-    EventQueue();
+    /**
+     * @param bucketWidth ring bucket width in ticks
+     * @param numBuckets  ring size; the ring horizon is
+     *                    bucketWidth * numBuckets (~2 us at the
+     *                    defaults -- later events wait in the
+     *                    far-future heap)
+     * Both must be powers of two, with at least two buckets.
+     */
+    explicit EventQueue(std::uint64_t bucketWidth = 512,
+                        std::uint64_t numBuckets = 4096);
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     /**
-     * Select the implementation and (for calendar) its geometry.
-     * Width and bucket count must be powers of two.  Panics if events
-     * are pending -- reconfigure only before the first schedule() or
-     * after clear().
-     */
-    void configure(EventQueueKind kind, std::uint64_t bucketWidth,
-                   std::uint64_t numBuckets);
-    void
-    configure(const SimConfig &cfg)
-    {
-        configure(cfg.queueKind(), cfg.calendarBucketPs, cfg.calendarBuckets);
-    }
-
-    EventQueueKind
-    kind() const
-    {
-        PartitionLock lock(mu_);
-        return kind_;
-    }
-
-    /**
      * Schedule @p fn at absolute time @p when.
-     * Inline so the common calendar case -- a future time inside the
-     * ring horizon appending to its bucket -- compiles to a handful of
-     * instructions at the call site; clamped, far-future, out-of-order
-     * and heap-mode inserts take the out-of-line paths.
+     * Inline so the common case -- a future time inside the ring
+     * horizon appending to its bucket -- compiles to a handful of
+     * instructions at the call site; clamped, far-future and
+     * out-of-order inserts take the out-of-line paths.
      */
     void
     schedule(Tick when, EventFn fn, int priority = 0)
@@ -109,41 +89,33 @@ class EventQueue
         PartitionLock lock(mu_);
         const std::uint64_t seq = nextSeq_++;
         ++size_;
-        if (kind_ == EventQueueKind::Calendar) {
-            if (when > curBucketStart_ &&
-                when - curBucketStart_ < ringSpan()) {
-                Bucket &b =
-                    ring_[static_cast<std::size_t>(when >> shift_) &
-                          ringMask_];
-                ++ringCount_;
-                if (!b.sorted) {
-                    b.v.emplace_back(when, priority, seq, std::move(fn));
-                    return;
-                }
-                // Only the current bucket is ever sorted, and it is
-                // non-empty (it resets to unsorted when drained).  The
-                // common case -- fresh events at the current tick carry
-                // a larger seq than everything pending -- appends
-                // straight into place.
-                const Entry &last = b.v.back();
-                const bool firesAfter =
-                    when != last.when
-                        ? when > last.when
-                        : priority != last.priority
-                              ? priority > last.priority
-                              : seq > last.seq;
-                if (firesAfter) {
-                    b.v.emplace_back(when, priority, seq, std::move(fn));
-                    return;
-                }
-                calendarInsertSorted(b, when, priority, seq,
-                                     std::move(fn));
+        if (when > curBucketStart_ && when - curBucketStart_ < ringSpan()) {
+            Bucket &b =
+                ring_[static_cast<std::size_t>(when >> shift_) & ringMask_];
+            ++ringCount_;
+            if (!b.sorted) {
+                b.v.emplace_back(when, priority, seq, std::move(fn));
                 return;
             }
-            calendarPushSlow(when, priority, seq, std::move(fn));
+            // Only the current bucket is ever sorted, and it is
+            // non-empty (it resets to unsorted when drained).  The
+            // common case -- fresh events at the current tick carry a
+            // larger seq than everything pending -- appends straight
+            // into place.
+            const Entry &last = b.v.back();
+            const bool firesAfter =
+                when != last.when
+                    ? when > last.when
+                    : priority != last.priority ? priority > last.priority
+                                                : seq > last.seq;
+            if (firesAfter) {
+                b.v.emplace_back(when, priority, seq, std::move(fn));
+                return;
+            }
+            calendarInsertSorted(b, when, priority, seq, std::move(fn));
             return;
         }
-        heapPush(Entry(when, priority, seq, std::move(fn)));
+        calendarPushSlow(when, priority, seq, std::move(fn));
     }
 
     /** True if no events are pending. */
@@ -169,17 +141,13 @@ class EventQueue
         PartitionLock lock(mu_);
         if (size_ == 0)
             return kTickNever;
-        if (kind_ == EventQueueKind::Calendar) {
-            const Bucket &b = ring_[curIdx_];
-            if (b.sorted)  // sorted implies current and non-empty
-                return b.v[b.head].when;
-            // calendarPeek lazily advances the ring and sorts the
-            // current bucket -- internal bookkeeping that never changes
-            // the abstract queue state, so nextTime stays logically
-            // const.
-            return const_cast<EventQueue *>(this)->calendarPeek()->when;
-        }
-        return heap_.front().when;
+        const Bucket &b = ring_[curIdx_];
+        if (b.sorted)  // sorted implies current and non-empty
+            return b.v[b.head].when;
+        // calendarPeek lazily advances the ring and sorts the current
+        // bucket -- internal bookkeeping that never changes the
+        // abstract queue state, so nextTime stays logically const.
+        return const_cast<EventQueue *>(this)->calendarPeek()->when;
     }
 
     /**
@@ -198,26 +166,20 @@ class EventQueue
                 panicEmptyExecute();
             --size_;
             ++executed_;
-            if (kind_ == EventQueueKind::Calendar) {
-                Bucket *b = &ring_[curIdx_];
-                if (!b->sorted) {
-                    calendarPeek();  // advance + sort; may move the ring
-                    b = &ring_[curIdx_];
-                }
-                Entry &head = b->v[b->head];
-                when = head.when;
-                fn = std::move(head.fn);
-                if (++b->head == b->v.size()) {
-                    b->v.clear();
-                    b->head = 0;
-                    b->sorted = false;
-                }
-                --ringCount_;
-            } else {
-                Entry e = heapPop();
-                when = e.when;
-                fn = std::move(e.fn);
+            Bucket *b = &ring_[curIdx_];
+            if (!b->sorted) {
+                calendarPeek();  // advance + sort; may move the ring
+                b = &ring_[curIdx_];
             }
+            Entry &head = b->v[b->head];
+            when = head.when;
+            fn = std::move(head.fn);
+            if (++b->head == b->v.size()) {
+                b->v.clear();
+                b->head = 0;
+                b->sorted = false;
+            }
+            --ringCount_;
         }
         // The callback runs OUTSIDE the locked region: event handlers
         // re-enter schedule(), which re-acquires mu_ -- holding the
@@ -250,22 +212,6 @@ class EventQueue
         }
     };
 
-    /** True when @p a fires after @p b. */
-    static bool
-    laterThan(const Entry &a, const Entry &b)
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        if (a.priority != b.priority)
-            return a.priority > b.priority;
-        return a.seq > b.seq;
-    }
-
-    // -- heap mode (move-based sift; no Entry copies) ------------------
-    void heapPush(Entry &&e) HMCSIM_REQUIRES(mu_);
-    Entry heapPop() HMCSIM_REQUIRES(mu_);
-
-    // -- calendar mode -------------------------------------------------
     /**
      * A ring bucket.  Future buckets accumulate entries unsorted; when
      * a bucket becomes current it is sorted once into ascending fire
@@ -312,12 +258,9 @@ class EventQueue
      */
     mutable PartitionMutex mu_;
 
-    EventQueueKind kind_ HMCSIM_GUARDED_BY(mu_) = EventQueueKind::Heap;
     std::uint64_t nextSeq_ HMCSIM_GUARDED_BY(mu_) = 0;
     std::uint64_t executed_ HMCSIM_GUARDED_BY(mu_) = 0;
     std::size_t size_ HMCSIM_GUARDED_BY(mu_) = 0;
-
-    std::vector<Entry> heap_ HMCSIM_GUARDED_BY(mu_);
 
     std::vector<Bucket> ring_ HMCSIM_GUARDED_BY(mu_);
     std::size_t ringMask_ HMCSIM_GUARDED_BY(mu_) = 0;

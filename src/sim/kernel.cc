@@ -20,15 +20,15 @@ Kernel::scheduleAt(Tick when, EventFn fn, int priority)
 }
 
 void
-Kernel::enableParallel(const SimConfig &cfg, std::uint32_t partitions,
-                       std::uint32_t threads, Tick lookahead)
+Kernel::enableParallel(std::uint32_t partitions, std::uint32_t threads,
+                       Tick lookahead)
 {
     if (sched_)
         panic("Kernel::enableParallel: already enabled");
     if (queue_.size() != 0)
         panic("Kernel::enableParallel: events already scheduled on the "
               "serial queue");
-    sched_ = std::make_unique<ParallelScheduler>(*this, cfg, partitions,
+    sched_ = std::make_unique<ParallelScheduler>(*this, partitions,
                                                  threads, lookahead);
     globalPart_ = sched_->globalPartition();
 }

@@ -25,7 +25,6 @@
 #include "common/types.h"
 #include "sim/event_queue.h"
 #include "sim/partition.h"
-#include "sim/sim_config.h"
 
 namespace hmcsim {
 
@@ -113,8 +112,8 @@ class Kernel
      * schedules an event.  @p lookahead is the conservative window in
      * ticks -- the minimum latency of any cross-partition interaction.
      */
-    void enableParallel(const SimConfig &cfg, std::uint32_t partitions,
-                        std::uint32_t threads, Tick lookahead);
+    void enableParallel(std::uint32_t partitions, std::uint32_t threads,
+                        Tick lookahead);
 
     bool parallelEnabled() const { return sched_ != nullptr; }
 

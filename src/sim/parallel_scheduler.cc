@@ -41,8 +41,7 @@ SpinBarrier::arriveAndWait()
     }
 }
 
-ParallelScheduler::ParallelScheduler(Kernel &kernel, const SimConfig &cfg,
-                                     std::uint32_t partitions,
+ParallelScheduler::ParallelScheduler(Kernel &kernel, std::uint32_t partitions,
                                      std::uint32_t threads, Tick lookahead)
     : kernel_(kernel), lookahead_(lookahead),
       threads_(std::max<std::uint32_t>(
@@ -61,12 +60,9 @@ ParallelScheduler::ParallelScheduler(Kernel &kernel, const SimConfig &cfg,
     if (lookahead_ == 0)
         panic("ParallelScheduler: zero lookahead (no conservative "
               "window exists)");
-    for (std::uint32_t p = 0; p < partitions; ++p) {
+    for (std::uint32_t p = 0; p < partitions; ++p)
         parts_.push_back(std::make_unique<Partition>(p));
-        parts_.back()->queue().configure(cfg);
-    }
     global_ = std::make_unique<Partition>(partitions);
-    global_->queue().configure(cfg);
     for (std::uint32_t tid = 1; tid < threads_; ++tid)
         workers_.emplace_back([this, tid] { workerMain(tid); });
 }

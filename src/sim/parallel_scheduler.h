@@ -51,7 +51,6 @@
 
 #include "common/types.h"
 #include "sim/partition.h"
-#include "sim/sim_config.h"
 
 namespace hmcsim {
 
@@ -90,9 +89,8 @@ class ParallelScheduler
      *                   (partition p runs on thread p % threads)
      * @param lookahead  conservative sync horizon in ticks (> 0)
      */
-    ParallelScheduler(Kernel &kernel, const SimConfig &cfg,
-                      std::uint32_t partitions, std::uint32_t threads,
-                      Tick lookahead);
+    ParallelScheduler(Kernel &kernel, std::uint32_t partitions,
+                      std::uint32_t threads, Tick lookahead);
     ~ParallelScheduler();
 
     ParallelScheduler(const ParallelScheduler &) = delete;

@@ -1,4 +1,4 @@
-// Fixture: HmcPacket allocated outside the pool-backed factory.
+// Fixture: HmcPacket allocated outside the packet factory.
 #include <memory>
 
 namespace fixture {
@@ -14,7 +14,7 @@ leak()
 }
 
 std::shared_ptr<HmcPacket>
-unpooled()
+unfactored()
 {
     return std::make_shared<HmcPacket>();  // line 19: naked-packet-new
 }

@@ -1,16 +1,18 @@
 /**
  * @file
  * Differential determinism tests: the calendar queue must execute
- * every workload in exactly the order the reference heap does.  The
- * simulator's figures are pinned bit-for-bit to the (time, priority,
- * seq) execution order, so any divergence here is a correctness bug
- * in the optimized engine, not a tuning matter.
+ * every workload in exactly the order a plain priority queue over
+ * (time, priority, seq) does.  The simulator's figures are pinned
+ * bit-for-bit to that execution order, so any divergence here is a
+ * correctness bug in the calendar, not a tuning matter.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -48,21 +50,68 @@ struct Op {
     int id;
 };
 
-void
-configureSmall(EventQueue &q, EventQueueKind kind)
+/**
+ * Deliberately small calendar geometry (64 ps x 256 buckets = 16 ns
+ * span) so the workloads exercise ring wrap, far-future migration, and
+ * empty-ring re-anchoring, not just the happy path.
+ */
+class SmallCalendar : public EventQueue
 {
-    // Deliberately small geometry (64 ps x 256 buckets = 16 ns span)
-    // so the workloads exercise ring wrap, far-future migration, and
-    // empty-ring re-anchoring, not just the happy path.
-    q.configure(kind, 64, 256);
-}
+  public:
+    SmallCalendar() : EventQueue(64, 256) {}
+};
 
-/** Run @p ops through a queue of @p kind; return execution order. */
-std::vector<int>
-execute(EventQueueKind kind, const std::vector<Op> &ops)
+/**
+ * The reference order: a std::priority_queue over (when, priority,
+ * seq, id), with the callbacks held beside it by id.  Same API subset
+ * as EventQueue, so every scenario runs unchanged on both.
+ */
+class ReferenceQueue
 {
-    EventQueue q;
-    configureSmall(q, kind);
+  public:
+    void
+    schedule(Tick when, std::function<void()> fn, int priority = 0)
+    {
+        const int id = static_cast<int>(fns_.size());
+        fns_.push_back(std::move(fn));
+        heap_.emplace(when, priority, nextSeq_++, id);
+    }
+
+    bool empty() const { return heap_.empty(); }
+
+    Tick
+    executeNext()
+    {
+        const Key top = heap_.top();
+        heap_.pop();
+        // Moved out first: the callback may schedule, which can
+        // reallocate fns_ under it.
+        const std::function<void()> fn =
+            std::move(fns_[static_cast<std::size_t>(std::get<3>(top))]);
+        fn();
+        return std::get<0>(top);
+    }
+
+    void
+    clear()
+    {
+        heap_ = {};
+    }
+
+  private:
+    using Key = std::tuple<Tick, int, std::uint64_t, int>;
+
+    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> heap_;
+    std::vector<std::function<void()>> fns_;
+    std::uint64_t nextSeq_ = 0;
+};
+
+/** Run @p ops through a fresh queue @p Q; return execution order. */
+template <typename Q>
+std::vector<int>
+execute(const std::vector<Op> &ops)
+{
+    Q q;
     std::vector<int> order;
     order.reserve(ops.size());
     for (const Op &op : ops)
@@ -73,15 +122,16 @@ execute(EventQueueKind kind, const std::vector<Op> &ops)
     return order;
 }
 
-/** Both engines must agree on the exact execution order of @p ops. */
+/** The calendar must match the reference order of @p ops exactly. */
 void
 expectIdenticalOrder(const std::vector<Op> &ops)
 {
-    const std::vector<int> heap = execute(EventQueueKind::Heap, ops);
-    const std::vector<int> cal = execute(EventQueueKind::Calendar, ops);
-    ASSERT_EQ(heap.size(), cal.size());
-    for (std::size_t i = 0; i < heap.size(); ++i)
-        ASSERT_EQ(heap[i], cal[i]) << "divergence at event " << i;
+    const std::vector<int> ref = execute<ReferenceQueue>(ops);
+    const std::vector<int> cal = execute<SmallCalendar>(ops);
+    ASSERT_EQ(ref.size(), ops.size());
+    ASSERT_EQ(ref.size(), cal.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(ref[i], cal[i]) << "divergence at event " << i;
 }
 
 TEST(QueueDifferential, RandomInterleavings)
@@ -103,7 +153,7 @@ TEST(QueueDifferential, RandomInterleavings)
 TEST(QueueDifferential, SameTickSamePriorityIsFifo)
 {
     // Many events at few distinct (time, priority) keys: order within
-    // a key must be schedule order in both engines.
+    // a key must be schedule order.
     std::vector<Op> ops;
     for (int i = 0; i < 300; ++i) {
         Op op;
@@ -154,19 +204,19 @@ TEST(QueueDifferential, FarFutureInserts)
 
 /**
  * Events scheduling events: replay the same self-scheduling program
- * on both engines and compare the full execution trace.  Delays are
- * drawn from a per-engine-independent PRNG stream keyed only by the
- * executing event's id, so both engines see identical programs.
+ * on the calendar and the reference and compare the full execution
+ * trace.  Delays are drawn from a PRNG stream keyed only by the
+ * executing event's id, so both queues see identical programs.
  */
+template <typename Q>
 std::vector<std::pair<Tick, int>>
-runSelfScheduling(EventQueueKind kind)
+runSelfScheduling()
 {
-    EventQueue q;
-    configureSmall(q, kind);
+    Q q;
     std::vector<std::pair<Tick, int>> trace;
     int nextId = 0;
     // Seed events; each execution re-schedules up to two children
-    // derived deterministically from its own id, so both engines see
+    // derived deterministically from its own id, so both queues see
     // the identical program.
     std::function<void(int, int, Tick)> fire = [&](int id, int depth,
                                                    Tick when) {
@@ -206,12 +256,12 @@ runSelfScheduling(EventQueueKind kind)
 
 TEST(QueueDifferential, ScheduleFromWithinEvents)
 {
-    const auto heap = runSelfScheduling(EventQueueKind::Heap);
-    const auto cal = runSelfScheduling(EventQueueKind::Calendar);
-    ASSERT_EQ(heap.size(), cal.size());
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-        ASSERT_EQ(heap[i].first, cal[i].first) << "time diverged at " << i;
-        ASSERT_EQ(heap[i].second, cal[i].second) << "id diverged at " << i;
+    const auto ref = runSelfScheduling<ReferenceQueue>();
+    const auto cal = runSelfScheduling<SmallCalendar>();
+    ASSERT_EQ(ref.size(), cal.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(ref[i].first, cal[i].first) << "time diverged at " << i;
+        ASSERT_EQ(ref[i].second, cal[i].second) << "id diverged at " << i;
     }
 }
 
@@ -222,12 +272,11 @@ TEST(QueueDifferential, ScheduleFromWithinEvents)
  * far-future heap, and the FIFO sequence counter must all reset so the
  * second life of the queue behaves exactly like a fresh one.
  */
+template <typename Q>
 std::vector<int>
-executeWithClear(EventQueueKind kind, const std::vector<Op> &first,
-                 const std::vector<Op> &second)
+executeWithClear(const std::vector<Op> &first, const std::vector<Op> &second)
 {
-    EventQueue q;
-    configureSmall(q, kind);
+    Q q;
     std::vector<int> order;
     for (const Op &op : first)
         q.schedule(op.when, [&order, id = op.id] { order.push_back(id); },
@@ -276,34 +325,38 @@ TEST(QueueDifferential, ClearThenReuse)
     far.id = 9999;
     second.push_back(far);
 
-    const auto heap =
-        executeWithClear(EventQueueKind::Heap, first, second);
-    const auto cal =
-        executeWithClear(EventQueueKind::Calendar, first, second);
-    ASSERT_EQ(heap.size(), cal.size());
-    for (std::size_t i = 0; i < heap.size(); ++i)
-        ASSERT_EQ(heap[i], cal[i]) << "divergence at event " << i;
+    const auto ref = executeWithClear<ReferenceQueue>(first, second);
+    const auto cal = executeWithClear<SmallCalendar>(first, second);
+    ASSERT_EQ(ref.size(), cal.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(ref[i], cal[i]) << "divergence at event " << i;
+}
+
+/** Fire times executeNext reports for a random in-order workload. */
+template <typename Q>
+std::vector<Tick>
+fireTimes()
+{
+    Q q;
+    Rng rng(1234);
+    for (int i = 0; i < 1000; ++i)
+        q.schedule(rng.next(30000), [] {});
+    std::vector<Tick> times;
+    while (!q.empty())
+        times.push_back(q.executeNext());
+    return times;
 }
 
 TEST(QueueDifferential, MonotoneNonDecreasingFireTimes)
 {
     // The calendar clamps past-times into the current bucket; fire
     // times reported by executeNext must still be non-decreasing for
-    // in-order workloads on both engines.
-    for (const auto kind :
-         {EventQueueKind::Heap, EventQueueKind::Calendar}) {
-        EventQueue q;
-        configureSmall(q, kind);
-        Rng rng(1234);
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(rng.next(30000), [] {});
-        Tick last = 0;
-        while (!q.empty()) {
-            const Tick t = q.executeNext();
-            EXPECT_GE(t, last);
-            last = t;
-        }
-    }
+    // in-order workloads on both the calendar and the reference.
+    const std::vector<Tick> ref = fireTimes<ReferenceQueue>();
+    const std::vector<Tick> cal = fireTimes<SmallCalendar>();
+    EXPECT_EQ(ref, cal);
+    for (std::size_t i = 1; i < cal.size(); ++i)
+        EXPECT_GE(cal[i], cal[i - 1]);
 }
 
 }  // namespace
