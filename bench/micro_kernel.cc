@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <memory>
+
 #include "dram/vault_memory.h"
 #include "host/experiment.h"
 #include "host/system.h"
@@ -37,19 +40,23 @@ BENCHMARK(BM_EventQueueScheduleExecute)->Arg(256)->Arg(4096);
 
 /**
  * Steady-state schedule/execute throughput of the calendar queue
- * across pending-set sizes and time skews.  Each executed event is
- * replaced by a fresh one a pseudo-random delay in [1, skew] ahead,
- * holding the pending population constant -- the schedule pattern of
- * a saturated simulation.  Small skews keep every event inside the
- * calendar ring; the largest skew forces far-future heap traffic.
+ * across pending-set sizes, time skews and capture sizes.  Each
+ * executed event is replaced by a fresh one a pseudo-random delay in
+ * [1, skew] ahead, holding the pending population constant -- the
+ * schedule pattern of a saturated simulation.  Small skews keep every
+ * event inside the calendar ring; the largest skew forces far-future
+ * heap traffic.  The capture is either 8 B (a bare counter pointer)
+ * or 64 B holding a shared_ptr: a packet-carrying capture like
+ * SerdesLink::transmit's, padded to the InlineEvent capacity, whose
+ * every move pays the closure's type-erased relocate.
  */
+template <typename MakeFn>
 void
-BM_EventQueuePendingSkew(benchmark::State &state)
+runPendingSkew(benchmark::State &state, const MakeFn &make_fn)
 {
     const int pending = static_cast<int>(state.range(0));
     const Tick skew = static_cast<Tick>(state.range(1));
     EventQueue q;
-    std::uint64_t executed = 0;
     std::uint64_t rng = 0x9e3779b97f4a7c15ull;
     const auto next_delay = [&rng, skew] {
         rng ^= rng << 13;
@@ -57,19 +64,36 @@ BM_EventQueuePendingSkew(benchmark::State &state)
         rng ^= rng << 17;
         return static_cast<Tick>(rng % skew) + 1;
     };
-    const auto count = [&executed] { ++executed; };
     for (int i = 0; i < pending; ++i)
-        q.schedule(next_delay(), count);
+        q.schedule(next_delay(), make_fn());
     for (auto _ : state) {
         const Tick now = q.executeNext();
-        q.schedule(now + next_delay(), count);
+        q.schedule(now + next_delay(), make_fn());
     }
-    benchmark::DoNotOptimize(executed);
     state.SetItemsProcessed(state.iterations());
 }
+
+void
+BM_EventQueuePendingSkew(benchmark::State &state)
+{
+    std::uint64_t executed = 0;
+    if (state.range(2) == 8) {
+        runPendingSkew(state, [&executed] {
+            return [&executed] { ++executed; };
+        });
+    } else {
+        const auto owner = std::make_shared<std::uint64_t>(0);
+        runPendingSkew(state, [&executed, &owner] {
+            return [&executed, owner, pad = std::array<std::uint64_t, 5>{}] {
+                executed += 1 + pad[0];
+            };
+        });
+    }
+    benchmark::DoNotOptimize(executed);
+}
 BENCHMARK(BM_EventQueuePendingSkew)
-    ->ArgNames({"pending", "skew"})
-    ->ArgsProduct({{64, 1024, 16384}, {100, 4000, 1000000}});
+    ->ArgNames({"pending", "skew", "capture"})
+    ->ArgsProduct({{64, 1024, 16384}, {100, 4000, 1000000}, {8, 64}});
 
 void
 BM_DramServicePlanning(benchmark::State &state)

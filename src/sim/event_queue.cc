@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <utility>
 
 #include "common/log.h"
@@ -15,30 +16,6 @@ isPowerOfTwo(std::uint64_t v)
 {
     return v != 0 && (v & (v - 1)) == 0;
 }
-
-/** Inlinable comparator wrapper for the std heap/sort algorithms. */
-struct LaterCmp {
-    template <typename E>
-    bool
-    operator()(const E &a, const E &b) const
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        if (a.priority != b.priority)
-            return a.priority > b.priority;
-        return a.seq > b.seq;
-    }
-};
-
-/** Ascending fire order, for sorting buckets. */
-struct EarlierCmp {
-    template <typename E>
-    bool
-    operator()(const E &a, const E &b) const
-    {
-        return LaterCmp{}(b, a);
-    }
-};
 
 }  // namespace
 
@@ -77,20 +54,31 @@ EventQueue::clear()
         b.sorted = false;
     }
     far_.clear();
+    // Destroys every parked closure; free slots are already empty.
+    slots_.clear();
+    freeSlots_.clear();
     ringCount_ = 0;
     curIdx_ = 0;
     curBucketStart_ = 0;
     size_ = 0;
 }
 
-void
-EventQueue::calendarPushSlow(Tick when, int priority, std::uint64_t seq,
-                             InlineEvent &&fn)
+std::uint32_t
+EventQueue::parkNew(EventFn &&fn)
 {
-    if (when > curBucketStart_) {
+    if (slots_.size() > std::numeric_limits<std::uint32_t>::max())
+        panic("EventQueue: more than 2^32 pending events");
+    slots_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void
+EventQueue::calendarPushSlow(const Key &k)
+{
+    if (k.when > curBucketStart_) {
         // Beyond the ring horizon: hold in the far-future min-heap.
-        far_.emplace_back(when, priority, seq, std::move(fn));
-        std::push_heap(far_.begin(), far_.end(), LaterCmp{});
+        far_.push_back(k);
+        std::push_heap(far_.begin(), far_.end(), Later{});
         return;
     }
     // Past or current-bucket-start times clamp into the current
@@ -98,36 +86,26 @@ EventQueue::calendarPushSlow(Tick when, int priority, std::uint64_t seq,
     // later bucket holds strictly later times.
     Bucket &b = ring_[curIdx_];
     ++ringCount_;
-    if (b.sorted) {
-        const Entry &last = b.v.back();
-        const bool firesAfter =
-            when != last.when
-                ? when > last.when
-                : priority != last.priority ? priority > last.priority
-                                            : seq > last.seq;
-        if (!firesAfter) {
-            calendarInsertSorted(b, when, priority, seq, std::move(fn));
-            return;
-        }
+    if (b.sorted && !Earlier{}(b.v.back(), k)) {
+        calendarInsertSorted(b, k);
+        return;
     }
-    b.v.emplace_back(when, priority, seq, std::move(fn));
+    b.v.push_back(k);
 }
 
 void
-EventQueue::calendarInsertSorted(Bucket &b, Tick when, int priority,
-                                 std::uint64_t seq, InlineEvent &&fn)
+EventQueue::calendarInsertSorted(Bucket &b, const Key &k)
 {
     // Rare out-of-order insert (e.g. a default-priority event
     // scheduled at now while a stats-priority event is still pending
-    // at the same tick): rotate into place.
-    Entry e(when, priority, seq, std::move(fn));
+    // at the same tick): shift into place.
     const auto pos =
         std::upper_bound(b.v.begin() + static_cast<std::ptrdiff_t>(b.head),
-                         b.v.end(), e, EarlierCmp{});
-    b.v.insert(pos, std::move(e));
+                         b.v.end(), k, Earlier{});
+    b.v.insert(pos, k);
 }
 
-EventQueue::Entry *
+const EventQueue::Key *
 EventQueue::calendarPeek()
 {
     for (;;) {
@@ -136,7 +114,7 @@ EventQueue::calendarPeek()
         Bucket &b = ring_[curIdx_];
         if (!b.v.empty()) {
             if (!b.sorted) {
-                std::sort(b.v.begin(), b.v.end(), EarlierCmp{});
+                std::sort(b.v.begin(), b.v.end(), Earlier{});
                 b.sorted = true;
             }
             return &b.v[b.head];
@@ -152,15 +130,15 @@ void
 EventQueue::pullFar()
 {
     // Ring advance opened a new bucket at the horizon; migrate every
-    // far-future entry that now falls inside it.  Far entries are
-    // always > curBucketStart_, so the subtraction cannot wrap.
+    // far-future key that now falls inside it.  Far keys are always
+    // > curBucketStart_, so the subtraction cannot wrap.
     const Tick span = ringSpan();
     while (!far_.empty() && far_.front().when - curBucketStart_ < span) {
-        std::pop_heap(far_.begin(), far_.end(), LaterCmp{});
-        Entry e = std::move(far_.back());
+        std::pop_heap(far_.begin(), far_.end(), Later{});
+        const Key k = far_.back();
         far_.pop_back();
-        ring_[static_cast<std::size_t>(e.when >> shift_) & ringMask_]
-            .v.push_back(std::move(e));
+        ring_[static_cast<std::size_t>(k.when >> shift_) & ringMask_]
+            .v.push_back(k);
         ++ringCount_;
     }
 }
@@ -168,7 +146,7 @@ EventQueue::pullFar()
 void
 EventQueue::jumpToFar()
 {
-    // Ring is empty: re-anchor it at the earliest far-future entry
+    // Ring is empty: re-anchor it at the earliest far-future key
     // instead of stepping bucket-by-bucket across the idle gap.
     if (far_.empty())
         panic("EventQueue: internal accounting error (empty calendar)");

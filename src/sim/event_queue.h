@@ -16,6 +16,12 @@
  * bucket becomes current, so schedule() is O(1) and executeNext() is
  * amortized O(k log k) over the handful of events sharing a bucket.
  *
+ * Buckets and the far-future heap hold only 24-byte trivially
+ * copyable keys (time, priority, seq and a slot index).  Each event's
+ * closure is moved once into a queue-owned slot slab when it is
+ * scheduled and moved out when it fires, so sorting, heap sifts and
+ * ring migration copy plain keys and never touch a capture.
+ *
  * The ordering is exact: for any interleaving of schedule() and
  * executeNext() calls events fire in (time, priority, seq) order, the
  * same order a plain priority queue gives (guarded by
@@ -27,6 +33,7 @@
 #define HMCSIM_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/partition_mutex.h"
@@ -79,43 +86,35 @@ class EventQueue
      * Inline so the common case -- a future time inside the ring
      * horizon appending to its bucket -- compiles to a handful of
      * instructions at the call site; clamped, far-future and
-     * out-of-order inserts take the out-of-line paths.
+     * out-of-order inserts take the out-of-line paths.  @p fn is taken
+     * by rvalue reference so the closure moves exactly once, into its
+     * slot.
      */
     void
-    schedule(Tick when, EventFn fn, int priority = 0)
+    schedule(Tick when, EventFn &&fn, int priority = 0)
     {
         if (!fn)
             panicNullEvent();
         PartitionLock lock(mu_);
-        const std::uint64_t seq = nextSeq_++;
+        const Key k{when, priority, park(std::move(fn)), nextSeq_++};
         ++size_;
         if (when > curBucketStart_ && when - curBucketStart_ < ringSpan()) {
             Bucket &b =
                 ring_[static_cast<std::size_t>(when >> shift_) & ringMask_];
             ++ringCount_;
-            if (!b.sorted) {
-                b.v.emplace_back(when, priority, seq, std::move(fn));
-                return;
-            }
             // Only the current bucket is ever sorted, and it is
             // non-empty (it resets to unsorted when drained).  The
             // common case -- fresh events at the current tick carry a
             // larger seq than everything pending -- appends straight
             // into place.
-            const Entry &last = b.v.back();
-            const bool firesAfter =
-                when != last.when
-                    ? when > last.when
-                    : priority != last.priority ? priority > last.priority
-                                                : seq > last.seq;
-            if (firesAfter) {
-                b.v.emplace_back(when, priority, seq, std::move(fn));
+            if (!b.sorted || Earlier{}(b.v.back(), k)) {
+                b.v.push_back(k);
                 return;
             }
-            calendarInsertSorted(b, when, priority, seq, std::move(fn));
+            calendarInsertSorted(b, k);
             return;
         }
-        calendarPushSlow(when, priority, seq, std::move(fn));
+        calendarPushSlow(k);
     }
 
     /** True if no events are pending. */
@@ -171,9 +170,13 @@ class EventQueue
                 calendarPeek();  // advance + sort; may move the ring
                 b = &ring_[curIdx_];
             }
-            Entry &head = b->v[b->head];
+            const Key head = b->v[b->head];
             when = head.when;
-            fn = std::move(head.fn);
+            // Move the closure out and free its slot before invoking
+            // it: a handler that schedules may reuse the slot or grow
+            // the slab.
+            fn = std::move(slots_[head.slot]);
+            freeSlots_.push_back(head.slot);
             if (++b->head == b->v.size()) {
                 b->v.clear();
                 b->head = 0;
@@ -196,50 +199,86 @@ class EventQueue
         return executed_;
     }
 
-    /** Drop every pending event. */
+    /** Drop every pending event, destroying its closure. */
     void clear();
 
   private:
-    struct Entry {
+    /**
+     * A pending event's ordering key.  Trivially copyable, so bucket
+     * sorts, heap sifts and ring migration move 24 plain bytes; the
+     * closure stays parked in slots_[slot] until the event fires.
+     */
+    struct Key {
         Tick when;
         int priority;
+        std::uint32_t slot;
         std::uint64_t seq;
-        InlineEvent fn;
+    };
+    static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>,
+                  "queue keys must stay small plain data");
 
-        Entry(Tick w, int p, std::uint64_t s, InlineEvent &&f)
-            : when(w), priority(p), seq(s), fn(std::move(f))
+    /** Strict fire order (time, priority, seq); an inlinable functor
+     *  for the std sort/search algorithms. */
+    struct Earlier {
+        bool
+        operator()(const Key &a, const Key &b) const
         {
+            if (a.when != b.when)
+                return a.when < b.when;
+            if (a.priority != b.priority)
+                return a.priority < b.priority;
+            return a.seq < b.seq;
+        }
+    };
+    /** Inverted, so std's max-heap algorithms keep a min-heap. */
+    struct Later {
+        bool
+        operator()(const Key &a, const Key &b) const
+        {
+            return Earlier{}(b, a);
         }
     };
 
     /**
-     * A ring bucket.  Future buckets accumulate entries unsorted; when
-     * a bucket becomes current it is sorted once into ascending fire
-     * order and drained through the head cursor (pop is O(1), no
-     * element ever moves).  Entries scheduled into the current bucket
-     * almost always carry the largest (when, priority, seq) key in it
-     * -- fresh events at the current tick get monotonically increasing
-     * seq -- so they append in O(1) too; the rare out-of-order insert
-     * rotates into place.
+     * A ring bucket.  Future buckets accumulate keys unsorted; when a
+     * bucket becomes current it is sorted once into ascending fire
+     * order and drained through the head cursor (pop is O(1), no key
+     * ever moves).  Keys scheduled into the current bucket almost
+     * always carry the largest (when, priority, seq) in it -- fresh
+     * events at the current tick get monotonically increasing seq --
+     * so they append in O(1) too; the rare out-of-order insert shifts
+     * into place.  The vector's retained capacity holds keys only, so
+     * 4096 buckets stay cheap to keep warm.
      */
     struct Bucket {
-        std::vector<Entry> v;
-        std::size_t head = 0; ///< next entry to pop (earlier are husks)
+        std::vector<Key> v;
+        std::size_t head = 0; ///< next key to pop (earlier are spent)
         bool sorted = false;  ///< v[head..) is in ascending fire order
     };
 
+    /** Move @p fn into a free slot (reused LIFO) and return its index. */
+    std::uint32_t
+    park(EventFn &&fn) HMCSIM_REQUIRES(mu_)
+    {
+        if (freeSlots_.empty())
+            return parkNew(std::move(fn));
+        const std::uint32_t slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[slot] = std::move(fn);
+        return slot;
+    }
+
+    /** Grow the slab by one slot holding @p fn. */
+    std::uint32_t parkNew(EventFn &&fn) HMCSIM_REQUIRES(mu_);
     /** Clamped-to-now and beyond-horizon inserts. */
-    void calendarPushSlow(Tick when, int priority, std::uint64_t seq,
-                          InlineEvent &&fn) HMCSIM_REQUIRES(mu_);
+    void calendarPushSlow(const Key &k) HMCSIM_REQUIRES(mu_);
     /** Rare out-of-order insert into the sorted current bucket. */
-    void calendarInsertSorted(Bucket &b, Tick when, int priority,
-                              std::uint64_t seq, InlineEvent &&fn)
-        HMCSIM_REQUIRES(mu_);
-    /** Earliest pending entry; advances the ring to its bucket. */
-    Entry *calendarPeek() HMCSIM_REQUIRES(mu_);
-    /** Move far-future entries now below the ring horizon into it. */
+    void calendarInsertSorted(Bucket &b, const Key &k) HMCSIM_REQUIRES(mu_);
+    /** Earliest pending key; advances the ring to its bucket. */
+    const Key *calendarPeek() HMCSIM_REQUIRES(mu_);
+    /** Move far-future keys now below the ring horizon into it. */
     void pullFar() HMCSIM_REQUIRES(mu_);
-    /** Re-anchor an empty ring at the earliest far-future entry. */
+    /** Re-anchor an empty ring at the earliest far-future key. */
     void jumpToFar() HMCSIM_REQUIRES(mu_);
 
     Tick
@@ -269,10 +308,19 @@ class EventQueue
     std::size_t curIdx_ HMCSIM_GUARDED_BY(mu_) = 0;
     /** Inclusive start of the current bucket. */
     Tick curBucketStart_ HMCSIM_GUARDED_BY(mu_) = 0;
-    /** Pending entries resident in the ring. */
+    /** Pending keys resident in the ring. */
     std::size_t ringCount_ HMCSIM_GUARDED_BY(mu_) = 0;
-    /** Min-heap of entries beyond the ring. */
-    std::vector<Entry> far_ HMCSIM_GUARDED_BY(mu_);
+    /** Min-heap of keys beyond the ring. */
+    std::vector<Key> far_ HMCSIM_GUARDED_BY(mu_);
+
+    /**
+     * The slot slab: every pending event's closure, indexed by
+     * Key::slot.  Free slots hold empty closures and are listed in
+     * freeSlots_; the slab grows only when the pending population
+     * reaches a new peak, so steady state never allocates.
+     */
+    std::vector<InlineEvent> slots_ HMCSIM_GUARDED_BY(mu_);
+    std::vector<std::uint32_t> freeSlots_ HMCSIM_GUARDED_BY(mu_);
 };
 
 }  // namespace hmcsim

@@ -12,11 +12,13 @@
  * time, so schedule() never allocates.
  *
  * Events are move-only; a move transfers the capture and empties the
- * source (the queue's sift operations only read the ordering key of a
- * moved-from entry, never invoke it).  Storage itself is recycled by
- * the event queue: entries live by value inside bucket/heap vectors
- * whose capacity is retained across the run, which is the freelist --
- * after warmup no event path touches the allocator.
+ * source.  Storage itself is recycled by the event queue: each
+ * scheduled event is moved once into a slot of the queue's slab (a
+ * vector of InlineEvents plus a free-slot list, grown only at a new
+ * pending-set peak) and moved out when it fires, while buckets and
+ * the far-future heap order small plain keys -- after warmup no event
+ * path touches the allocator, and no sort or heap sift moves a
+ * capture.
  *
  * InlineEvent is the `void()` instantiation of the general
  * InlineFunction template (common/inline_function.h), which the link
@@ -37,9 +39,10 @@ namespace hmcsim {
  * lambda in the tree (Router::tryDrain's router-to-router arrival:
  * Router* + port int + a 48 B NocMessage).  Growing a capture past
  * this is a compile error at the schedule() site, not a silent
- * fallback to heap allocation -- raise the constant deliberately, and
- * check the queue-entry size the event rides in (sort/move cost on
- * the calendar hot path scales with it).
+ * fallback to heap allocation -- raise the constant deliberately.
+ * The event queue sorts keys, not events, so capacity costs slab
+ * memory (one InlineEvent per pending-set peak slot) and the two
+ * moves per event (into its slot and out to fire), not sort time.
  */
 constexpr std::size_t kInlineEventCapacity = 64;
 

@@ -5,8 +5,6 @@
 
 namespace hmcsim {
 
-thread_local Partition *t_schedPartition = nullptr;
-
 void
 Partition::post(Tick when, int priority, std::uint32_t src_part,
                 std::uint64_t src_seq, EventFn fn)

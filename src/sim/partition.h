@@ -109,7 +109,7 @@ class Partition
  * schedule calls route through it, which is how the entire component
  * tree runs unmodified on sharded clocks.
  */
-extern thread_local Partition *t_schedPartition;
+inline thread_local Partition *t_schedPartition = nullptr;
 
 /** Scoped setter used by the run loop and setup-time scoping. */
 class ScopedSchedulePartition

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/log.h"
@@ -102,7 +103,7 @@ TEST(EventQueue, ExecuteEmptyPanics)
     EXPECT_THROW(q.executeNext(), PanicError);
 }
 
-TEST(EventQueue, LargeHeapStaysSorted)
+TEST(EventQueue, RandomTimesFireInOrder)
 {
     EventQueue q;
     // Insert pseudo-random times, verify monotone execution.
@@ -117,6 +118,87 @@ TEST(EventQueue, LargeHeapStaysSorted)
         EXPECT_GE(t, last);
         last = t;
     }
+}
+
+TEST(EventQueue, FiredClosureIsDestroyed)
+{
+    EventQueue q;
+    const auto token = std::make_shared<int>(0);
+    for (Tick t = 1; t <= 3; ++t) {
+        q.schedule(t * 1000, [token] { ++*token; });
+        EXPECT_EQ(token.use_count(), 2);
+        q.executeNext();
+        EXPECT_EQ(token.use_count(), 1) << "capture outlived its event";
+    }
+    EXPECT_EQ(*token, 3);
+}
+
+TEST(EventQueue, ClearDestroysPendingClosures)
+{
+    EventQueue q;
+    const auto token = std::make_shared<int>(0);
+    // Near times land in ring buckets, the last one beyond the ring
+    // horizon in the far-future heap; clear() must release both.
+    for (Tick t : {Tick(0), Tick(10), Tick(700), Tick(1) << 40})
+        q.schedule(t, [token] { ++*token; });
+    q.executeNext();
+    EXPECT_EQ(token.use_count(), 4);
+    q.clear();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 1);
+
+    // The queue stays usable after clear().
+    q.schedule(5, [token] { ++*token; });
+    q.executeNext();
+    EXPECT_EQ(*token, 2);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, DestructorDestroysPendingClosures)
+{
+    const auto token = std::make_shared<int>(0);
+    {
+        EventQueue q;
+        for (Tick t : {Tick(3), Tick(3), Tick(900), Tick(1) << 40})
+            q.schedule(t, [token] { ++*token; });
+        q.executeNext();
+        EXPECT_EQ(token.use_count(), 4);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 1);
+}
+
+TEST(EventQueue, RecycledSlotsKeepTheirOwnCaptures)
+{
+    // Many schedule/execute rounds with a partly drained queue, so
+    // freed slots are reused while older events are still parked.
+    // Each event's capture carries its id twice (by value and behind
+    // a shared_ptr); at fire time both must name the event that was
+    // scheduled for that time.
+    EventQueue q;
+    std::vector<int> fired;
+    int nextId = 0;
+    Tick now = 0;
+    for (int round = 0; round < 50; ++round) {
+        for (int i = 0; i < 40; ++i) {
+            const int id = nextId++;
+            const auto owner = std::make_shared<const int>(id);
+            // Unique time per id: fire order is id order.
+            q.schedule(Tick(id) * 37 + 1,
+                       [&fired, id, owner] {
+                           EXPECT_EQ(*owner, id);
+                           fired.push_back(id);
+                       });
+        }
+        for (int i = 0; i < 30; ++i)
+            now = q.executeNext();
+    }
+    while (!q.empty())
+        now = q.executeNext();
+    EXPECT_EQ(now, Tick(nextId - 1) * 37 + 1);
+    ASSERT_EQ(fired.size(), static_cast<std::size_t>(nextId));
+    for (int i = 0; i < nextId; ++i)
+        EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <tuple>
 #include <utility>
@@ -96,6 +97,7 @@ class ReferenceQueue
     clear()
     {
         heap_ = {};
+        fns_.clear();
     }
 
   private:
@@ -330,6 +332,129 @@ TEST(QueueDifferential, ClearThenReuse)
     ASSERT_EQ(ref.size(), cal.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
         ASSERT_EQ(ref[i], cal[i]) << "divergence at event " << i;
+}
+
+/**
+ * A production-shaped event capture: 56 B with the context pointer,
+ * owning a shared_ptr like the SerDes link's packet-carrying lambdas.
+ * Non-trivial to move, and large enough that a closure parked in the
+ * wrong slot shows up as a corrupted payload, not only as a
+ * reordering.
+ */
+struct BigPayload {
+    /** Shared by every live capture: use_count() counts them. */
+    std::shared_ptr<int> owner;
+    /** Derived from id; checked when the event fires. */
+    std::uint64_t check[2];
+    int id;
+    int depth;
+    Tick when;
+};
+
+std::uint64_t
+checkWord(int id, int k)
+{
+    return (static_cast<std::uint64_t>(id) + 1) * 0x9e3779b97f4a7c15ull +
+           static_cast<std::uint64_t>(k);
+}
+
+/** One fired event: time, id, and whether its payload arrived intact. */
+using BigFire = std::tuple<Tick, int, bool>;
+
+/**
+ * Rounds of large-capture events on one queue object: each round
+ * schedules a batch of near, bucket-crossing and far-future roots,
+ * drains about half the pending set while events spawn children, and
+ * every other round clear()s the rest.  Slots are therefore recycled
+ * while older closures stay parked, keys migrate out of the far heap
+ * with their closures left in place, and clear() must destroy every
+ * parked capture.  @p live receives the tracker's use_count after
+ * each clear() and at the end (1 means no capture leaked).
+ */
+template <typename Q>
+std::vector<BigFire>
+runLargeCaptures(std::vector<long> &live)
+{
+    struct Ctx {
+        Q q;
+        std::shared_ptr<int> tracker = std::make_shared<int>(0);
+        std::vector<BigFire> trace;
+        int nextId = 0;
+
+        void
+        schedule(Tick when, int depth, int priority)
+        {
+            const int id = nextId++;
+            BigPayload p{tracker, {checkWord(id, 0), checkWord(id, 1)},
+                         id, depth, when};
+            q.schedule(when,
+                       [this, p = std::move(p)] { fire(p); },
+                       priority);
+        }
+
+        void
+        fire(const BigPayload &p)
+        {
+            const bool intact = p.check[0] == checkWord(p.id, 0) &&
+                                p.check[1] == checkWord(p.id, 1);
+            trace.emplace_back(p.when, p.id, intact);
+            if (p.depth >= 3)
+                return;
+            Rng rng(static_cast<std::uint64_t>(p.id) * 2654435761u + 7);
+            const int children = static_cast<int>(rng.next(3));
+            for (int c = 0; c < children; ++c) {
+                const Tick delay = rng.next(4) == 0
+                                       ? 0
+                                       : rng.next(3) == 0
+                                             ? 50000 + rng.next(9999)
+                                             : rng.next(900);
+                schedule(p.when + delay, p.depth + 1,
+                         rng.next(5) == 0 ? EventPriority::kStats
+                                          : EventPriority::kDefault);
+            }
+        }
+    };
+    static_assert(sizeof(BigPayload) + sizeof(void *) == 56,
+                  "capture should stay production-sized");
+
+    Ctx ctx;
+    Rng rng(2024);
+    Tick now = 0;
+    for (int round = 0; round < 8; ++round) {
+        for (int i = 0; i < 80; ++i) {
+            const Tick delay = i % 5 == 0 ? 200000 + rng.next(400000)
+                                          : rng.next(3000);
+            ctx.schedule(now + delay, 0,
+                         i % 7 == 0 ? EventPriority::kStats
+                                    : EventPriority::kDefault);
+        }
+        for (int n = 0; n < 60 && !ctx.q.empty(); ++n)
+            now = ctx.q.executeNext();
+        if (round % 2 == 1) {
+            ctx.q.clear();
+            live.push_back(ctx.tracker.use_count());
+        }
+    }
+    while (!ctx.q.empty())
+        ctx.q.executeNext();
+    live.push_back(ctx.tracker.use_count());
+    return ctx.trace;
+}
+
+TEST(QueueDifferential, LargeCapturesWithClearAndReuse)
+{
+    std::vector<long> refLive;
+    std::vector<long> calLive;
+    const auto ref = runLargeCaptures<ReferenceQueue>(refLive);
+    const auto cal = runLargeCaptures<SmallCalendar>(calLive);
+    ASSERT_GT(ref.size(), 400u);
+    ASSERT_EQ(ref.size(), cal.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(ref[i], cal[i]) << "divergence at event " << i;
+        ASSERT_TRUE(std::get<2>(cal[i])) << "corrupt capture at " << i;
+    }
+    EXPECT_EQ(calLive, std::vector<long>(5, 1));
+    EXPECT_EQ(refLive, calLive);
 }
 
 /** Fire times executeNext reports for a random in-order workload. */
