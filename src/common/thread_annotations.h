@@ -2,16 +2,12 @@
  * @file
  * Clang thread-safety-analysis annotation macros.
  *
- * The simulator is single-threaded today, but the partitioned-parallel
- * event core (see ROADMAP "prong (b)") will run per-cube partitions on
- * their own threads with conservative lookahead at chain-link
- * boundaries.  Every piece of shared mutable state those partitions
- * will contend on -- the metrics registry, the trace ring buffer, the
- * event queue itself -- is annotated NOW,
- * so `clang -Wthread-safety` (-DHMCSIM_THREAD_SAFETY=ON) machine-checks
- * the locking discipline before the first thread ever lands, and every
- * later PR that touches shared state is forced to say which capability
- * protects it.
+ * The simulator runs on one thread, but its mutable shared state --
+ * the metrics registry, the trace ring buffer, the event queue, the
+ * kernel clock -- is annotated with the capability that guards it, so
+ * `clang -Wthread-safety` (-DHMCSIM_THREAD_SAFETY=ON) machine-checks
+ * that every access goes through its guard and that no callback
+ * re-enters a region it is already inside.
  *
  * The macros expand to Clang `capability` attributes under Clang and to
  * nothing elsewhere (GCC builds are unaffected).  They mirror the
@@ -20,8 +16,7 @@
  * https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
  *
  * The matching runtime objects (PartitionMutex / PartitionLock,
- * assert-only until the parallel core lands) live in
- * common/partition_mutex.h.
+ * assert-only) live in common/partition_mutex.h.
  */
 
 #ifndef HMCSIM_COMMON_THREAD_ANNOTATIONS_H_

@@ -1,19 +1,17 @@
 #include "hmc/packet.h"
 
-#include <atomic>
-
 #include "common/log.h"
 
 namespace hmcsim {
 
 namespace {
 
-std::atomic<PacketId> g_next_packet_id{1};
+PacketId g_next_packet_id = 1;
 
 PacketId
 nextPacketId()
 {
-    return g_next_packet_id.fetch_add(1, std::memory_order_relaxed);
+    return g_next_packet_id++;
 }
 
 }  // namespace

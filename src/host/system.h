@@ -43,7 +43,6 @@
 #include "host/fpga.h"
 #include "host/host_config.h"
 #include "obs/observability.h"
-#include "sim/sim_config.h"
 
 namespace hmcsim {
 
@@ -52,12 +51,11 @@ struct SystemConfig {
     HmcConfig hmc;
     HostConfig host;
     ObsConfig obs;
-    /** Engine implementation knobs (never change simulated behaviour). */
-    SimConfig sim;
 
     void validate() const;
 
-    /** Read "hmc.*", "host.*", "obs.*" and "sim.*" keys. */
+    /** Read "hmc.*", "host.*" and "obs.*" keys; fatal on any "sim.*"
+     *  key (the event engine has none). */
     static SystemConfig fromConfig(const Config &cfg);
     void toConfig(Config &cfg) const;
 };

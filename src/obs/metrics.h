@@ -116,12 +116,9 @@ class MetricSet;
  * and the owner token keeps the predecessor's unregistration from
  * tearing down the successor's entries.
  *
- * The entry table is guarded by an assert-only PartitionMutex: under
- * the partitioned-parallel core, per-partition component trees will
- * register into one shared registry whose snapshot() races against
- * registration unless locked.  Gauge callbacks run while the
- * capability is held (snapshot iterates the table), so a gauge must
- * never call back into the registry.
+ * The entry table is guarded by an assert-only PartitionMutex.  Gauge
+ * callbacks run while the capability is held (snapshot iterates the
+ * table), so a gauge must never call back into the registry.
  */
 class MetricsRegistry
 {

@@ -64,9 +64,8 @@ class TimeSeriesSampler
     std::string path_;
 
     /**
-     * Guards the CSV writer state: under the parallel core the
-     * sampling event fires on one partition while panic()'s
-     * flushNow() may run on another.  Held across
+     * Guards the CSV writer state, which both the sampling event and
+     * panic()'s flushNow() write.  Held across
      * registry_.snapshot() (sampler -> registry lock order, never the
      * reverse) but never across kernel event execution.
      */

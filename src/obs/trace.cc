@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "common/log.h"
-#include "sim/partition.h"
-
 namespace hmcsim {
 
 const char *
@@ -39,40 +36,21 @@ PacketTracer::PacketTracer(TraceMode mode, std::uint64_t sample_every,
     : mode_(mode), sampleEvery_(sample_every == 0 ? 1 : sample_every),
       cap_(capacity == 0 ? 1 : capacity)
 {
-    setNumShards(1);
+    PartitionLock lock(mu_);
+    ring_.reserve(std::min<std::size_t>(cap_, 4096));
 }
 
 void
-PacketTracer::setNumShards(std::size_t n)
+PacketTracer::push(const TraceEvent &ev)
 {
-    if (eventsRecorded() != 0)
-        panic("PacketTracer::setNumShards: tracer already recorded");
-    shards_.clear();
-    for (std::size_t i = 0; i < std::max<std::size_t>(n, 1); ++i) {
-        shards_.push_back(std::make_unique<Shard>());
-        PartitionLock lock(shards_.back()->mu);
-        shards_.back()->ring.reserve(std::min<std::size_t>(cap_, 4096));
-    }
-}
-
-PacketTracer::Shard &
-PacketTracer::currentShard() const
-{
-    const std::size_t s = currentPartitionShard();
-    return s < shards_.size() ? *shards_[s] : *shards_[0];
-}
-
-void
-PacketTracer::push(Shard &s, const TraceEvent &ev)
-{
-    ++s.total;
-    if (s.ring.size() < cap_) {
-        s.ring.push_back(ev);
+    ++total_;
+    if (ring_.size() < cap_) {
+        ring_.push_back(ev);
         return;
     }
-    s.ring[s.next] = ev;
-    s.next = (s.next + 1) % cap_;
-    s.wrapped = true;
+    ring_[next_] = ev;
+    next_ = (next_ + 1) % cap_;
+    wrapped_ = true;
 }
 
 void
@@ -88,15 +66,13 @@ PacketTracer::record(Tick tick, const HmcPacket &pkt, TraceStage stage,
     ev.cmd = pkt.cmd;
     ev.cube = cube;
     ev.where = where;
-    Shard &s = currentShard();
-    PartitionLock lock(s.mu);
-    push(s, ev);
+    PartitionLock lock(mu_);
+    push(ev);
 }
 
 void
-PacketTracer::pushStage(Shard &s, const HmcPacket &pkt, Tick t,
-                        TraceStage stage, std::uint32_t cube,
-                        std::uint32_t where)
+PacketTracer::pushStage(const HmcPacket &pkt, Tick t, TraceStage stage,
+                        std::uint32_t cube, std::uint32_t where)
 {
     if (t == 0)
         return;  // stage never reached / not stamped
@@ -107,7 +83,7 @@ PacketTracer::pushStage(Shard &s, const HmcPacket &pkt, Tick t,
     ev.cmd = pkt.cmd;
     ev.cube = cube;
     ev.where = where;
-    push(s, ev);
+    push(ev);
 }
 
 void
@@ -115,63 +91,47 @@ PacketTracer::recordLifecycle(const HmcPacket &pkt, std::uint32_t port)
 {
     if (!wants(pkt))
         return;
-    Shard &s = currentShard();
-    PartitionLock lock(s.mu);
-    pushStage(s, pkt, pkt.createdAt, TraceStage::Inject, kTraceNoWhere,
-              port);
-    pushStage(s, pkt, pkt.linkTxAt, TraceStage::LinkTx, kTraceNoWhere,
+    PartitionLock lock(mu_);
+    pushStage(pkt, pkt.createdAt, TraceStage::Inject, kTraceNoWhere, port);
+    pushStage(pkt, pkt.linkTxAt, TraceStage::LinkTx, kTraceNoWhere,
               pkt.link);
-    pushStage(s, pkt, pkt.chainIngressAt, TraceStage::ChainIngress,
+    pushStage(pkt, pkt.chainIngressAt, TraceStage::ChainIngress,
               kTraceNoWhere, pkt.link);
-    pushStage(s, pkt, pkt.vaultArriveAt, TraceStage::VaultEnqueue,
-              pkt.cube, pkt.vault);
-    pushStage(s, pkt, pkt.dataReadyAt, TraceStage::DramDone, pkt.cube,
+    pushStage(pkt, pkt.vaultArriveAt, TraceStage::VaultEnqueue, pkt.cube,
               pkt.vault);
-    pushStage(s, pkt, pkt.respInjectAt, TraceStage::RespInject, pkt.cube,
+    pushStage(pkt, pkt.dataReadyAt, TraceStage::DramDone, pkt.cube,
               pkt.vault);
-    pushStage(s, pkt, pkt.hostArriveAt, TraceStage::Eject, kTraceNoWhere,
+    pushStage(pkt, pkt.respInjectAt, TraceStage::RespInject, pkt.cube,
+              pkt.vault);
+    pushStage(pkt, pkt.hostArriveAt, TraceStage::Eject, kTraceNoWhere,
               port);
-}
-
-std::vector<TraceEvent>
-PacketTracer::eventsLocked(const Shard &s) const
-{
-    std::vector<TraceEvent> out;
-    out.reserve(s.ring.size());
-    if (s.wrapped && s.ring.size() == cap_) {
-        for (std::size_t i = 0; i < s.ring.size(); ++i)
-            out.push_back(s.ring[(s.next + i) % cap_]);
-    } else {
-        out = s.ring;
-    }
-    return out;
 }
 
 std::uint64_t
 PacketTracer::eventsRecorded() const
 {
-    std::uint64_t total = 0;
-    for (const auto &s : shards_) {
-        PartitionLock lock(s->mu);
-        total += s->total;
-    }
-    return total;
+    PartitionLock lock(mu_);
+    return total_;
 }
 
 std::vector<TraceEvent>
 PacketTracer::events() const
 {
-    // Merge: concatenate in shard order, then stable-sort by tick.
-    // One shard (serial mode) is already chronological, so the sort is
-    // the identity and the pre-shard output is preserved bit-for-bit;
-    // with many shards exact-tick ties resolve by shard index --
-    // deterministic for any thread count.
     std::vector<TraceEvent> out;
-    for (const auto &s : shards_) {
-        PartitionLock lock(s->mu);
-        const std::vector<TraceEvent> evs = eventsLocked(*s);
-        out.insert(out.end(), evs.begin(), evs.end());
+    {
+        PartitionLock lock(mu_);
+        out.reserve(ring_.size());
+        if (wrapped_ && ring_.size() == cap_) {
+            for (std::size_t i = 0; i < ring_.size(); ++i)
+                out.push_back(ring_[(next_ + i) % cap_]);
+        } else {
+            out = ring_;
+        }
     }
+    // Full mode records at now(), so the ring is already in tick
+    // order; summary mode records a whole lifecycle when its response
+    // lands, so an older packet's early stages follow a younger
+    // packet's late ones and need the sort.
     std::stable_sort(out.begin(), out.end(),
                      [](const TraceEvent &a, const TraceEvent &b) {
                          return a.tick < b.tick;
@@ -182,12 +142,10 @@ PacketTracer::events() const
 void
 PacketTracer::clear()
 {
-    for (const auto &s : shards_) {
-        PartitionLock lock(s->mu);
-        s->ring.clear();
-        s->next = 0;
-        s->wrapped = false;
-    }
+    PartitionLock lock(mu_);
+    ring_.clear();
+    next_ = 0;
+    wrapped_ = false;
 }
 
 void
@@ -203,7 +161,7 @@ void
 PacketTracer::emitChromeEvents(std::ostream &os, bool &first) const
 {
     // Group the buffer per packet; within a packet events are already
-    // chronological because events() merges the shards by tick.
+    // chronological because events() returns them in tick order.
     std::map<PacketId, std::vector<TraceEvent>> perPacket;
     for (const TraceEvent &ev : events())
         perPacket[ev.packet].push_back(ev);

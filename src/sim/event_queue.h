@@ -58,11 +58,10 @@ struct EventPriority {
 /**
  * Thread-safety discipline (machine-checked under
  * -DHMCSIM_THREAD_SAFETY=ON with Clang): every piece of queue state is
- * guarded by mu_, the capability a per-cube partition will lock once
- * the parallel core lands.  Public entry points acquire it; private
- * helpers require it.  Event callbacks run OUTSIDE the locked region
- * -- they re-enter schedule() (and would deadlock a real mutex), which
- * the assert-only PartitionMutex enforces today.
+ * guarded by mu_.  Public entry points acquire it; private helpers
+ * require it.  Event callbacks run OUTSIDE the locked region -- they
+ * re-enter schedule(), which the assert-only PartitionMutex rejects
+ * as a re-entrant acquire.
  */
 class EventQueue
 {
@@ -186,7 +185,8 @@ class EventQueue
         }
         // The callback runs OUTSIDE the locked region: event handlers
         // re-enter schedule(), which re-acquires mu_ -- holding the
-        // capability across the call would deadlock the parallel core.
+        // capability across the call would trip the re-entrancy
+        // assertion.
         fn();
         return when;
     }
@@ -291,9 +291,8 @@ class EventQueue
     [[noreturn]] static void panicEmptyExecute();
 
     /**
-     * The queue's capability: one per partition once the parallel core
-     * shards the simulation per cube.  Assert-only today (the simulator
-     * is single-threaded); mutable so const queries can acquire it.
+     * The queue's capability.  Assert-only, because one thread runs
+     * the whole simulation; mutable so const queries can acquire it.
      */
     mutable PartitionMutex mu_;
 

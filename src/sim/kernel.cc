@@ -1,13 +1,8 @@
 #include "sim/kernel.h"
 
 #include "common/log.h"
-#include "sim/parallel_scheduler.h"
 
 namespace hmcsim {
-
-Kernel::Kernel() = default;
-
-Kernel::~Kernel() = default;
 
 void
 Kernel::scheduleAt(Tick when, EventFn fn, int priority)
@@ -16,55 +11,15 @@ Kernel::scheduleAt(Tick when, EventFn fn, int priority)
     if (when < current)
         panic("Kernel::scheduleAt: time " + std::to_string(when) +
               " is in the past (now " + std::to_string(current) + ")");
-    targetQueue().schedule(when, std::move(fn), priority);
-}
-
-void
-Kernel::enableParallel(std::uint32_t partitions, std::uint32_t threads,
-                       Tick lookahead)
-{
-    if (sched_)
-        panic("Kernel::enableParallel: already enabled");
-    if (queue_.size() != 0)
-        panic("Kernel::enableParallel: events already scheduled on the "
-              "serial queue");
-    sched_ = std::make_unique<ParallelScheduler>(*this, partitions,
-                                                 threads, lookahead);
-    globalPart_ = sched_->globalPartition();
-}
-
-Partition *
-Kernel::partition(std::uint32_t id)
-{
-    return sched_ ? sched_->partition(id) : nullptr;
-}
-
-std::uint64_t
-Kernel::eventsExecuted() const
-{
-    return sched_ ? sched_->eventsExecuted() : queue_.executedCount();
-}
-
-void
-Kernel::postCross(Partition *dst, Tick when, EventFn fn, int priority)
-{
-    Partition *src = t_schedPartition;
-    if (dst == nullptr || src == nullptr || dst == src) {
-        scheduleAt(when, std::move(fn), priority);
-        return;
-    }
-    dst->post(when, priority, src->id(), src->nextCrossSeq(),
-              std::move(fn));
+    queue_.schedule(when, std::move(fn), priority);
 }
 
 std::uint64_t
 Kernel::run(Tick until)
 {
-    clearStop();
-    if (sched_)
-        return sched_->run(until);
+    stopRequested_ = false;
     std::uint64_t executed = 0;
-    while (!queue_.empty() && !stopRequested()) {
+    while (!queue_.empty() && !stopRequested_) {
         const Tick next = queue_.nextTime();
         if (next > until)
             break;
@@ -74,7 +29,7 @@ Kernel::run(Tick until)
     }
     // Advance time to the requested horizon so back-to-back windows
     // measure contiguous intervals even if the queue went idle early.
-    if (until != kTickNever && now() < until && !stopRequested())
+    if (until != kTickNever && now() < until && !stopRequested_)
         setNow(until);
     return executed;
 }
@@ -83,12 +38,10 @@ std::uint64_t
 // hmcsim-lint: allow(std-function) one predicate per run(), not per-event
 Kernel::runUntil(const std::function<bool()> &pred, Tick until)
 {
-    clearStop();
-    if (sched_)
-        return sched_->runUntil(pred, until);
+    stopRequested_ = false;
     std::uint64_t executed = 0;
     bool predHit = false;
-    while (!queue_.empty() && !stopRequested()) {
+    while (!queue_.empty() && !stopRequested_) {
         if (pred()) {
             predHit = true;
             break;
@@ -105,7 +58,7 @@ Kernel::runUntil(const std::function<bool()> &pred, Tick until)
     // requested horizon, so back-to-back measurement windows stay
     // contiguous.  A satisfied predicate does not advance -- its
     // firing time is the result the caller is after.
-    if (until != kTickNever && now() < until && !stopRequested() &&
+    if (until != kTickNever && now() < until && !stopRequested_ &&
         !predHit && !pred())
         setNow(until);
     return executed;

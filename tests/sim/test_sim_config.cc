@@ -1,9 +1,9 @@
 /**
  * @file
- * The `sim.*` config surface: sim.parallel and sim.threads are the
- * only engine knobs, and any other `sim.*` key -- a retired knob or a
- * typo -- fails at load with the key in the message instead of
- * running silently on the defaults.
+ * The `sim.*` config namespace: the event engine has no settable
+ * keys, so SystemConfig::fromConfig fails at load on any `sim.*` key
+ * -- a retired engine knob or a typo -- with the key in the message,
+ * instead of running silently on the defaults.
  */
 
 #include <gtest/gtest.h>
@@ -13,18 +13,18 @@
 
 #include "common/config.h"
 #include "common/log.h"
-#include "sim/sim_config.h"
+#include "host/system.h"
 
 namespace hmcsim {
 namespace {
 
-/** fromConfig over command-line style overrides. */
-SimConfig
+/** SystemConfig::fromConfig over command-line style overrides. */
+SystemConfig
 load(const std::vector<std::string> &overrides)
 {
     Config cfg;
     cfg.applyOverrides(overrides);
-    return SimConfig::fromConfig(cfg);
+    return SystemConfig::fromConfig(cfg);
 }
 
 /** The fatal() message loading @p override raises; empty if none. */
@@ -39,23 +39,11 @@ loadError(const std::string &override)
     return "";
 }
 
-TEST(SimConfig, ReadsTheTwoKnobs)
-{
-    const SimConfig c = load({"sim.parallel=on", "sim.threads=4"});
-    EXPECT_TRUE(c.parallelEnabled());
-    EXPECT_EQ(c.threads, 4u);
-
-    Config out;
-    c.toConfig(out);
-    EXPECT_EQ(out.keys(),
-              (std::vector<std::string>{"sim.parallel", "sim.threads"}));
-    EXPECT_TRUE(SimConfig::fromConfig(out).parallelEnabled());
-}
-
-TEST(SimConfig, RetiredEngineKeysFailAtLoad)
+TEST(SimNamespace, RetiredEngineKeysFailAtLoad)
 {
     for (const std::string override :
-         {"sim.event_queue=heap", "sim.calendar_bucket_ps=512",
+         {"sim.parallel=on", "sim.parallel=off", "sim.threads=4",
+          "sim.event_queue=heap", "sim.calendar_bucket_ps=512",
           "sim.calendar_buckets=4096", "sim.packet_pool=0"}) {
         const std::string key = override.substr(0, override.find('='));
         const std::string err = loadError(override);
@@ -64,23 +52,27 @@ TEST(SimConfig, RetiredEngineKeysFailAtLoad)
     }
 }
 
-TEST(SimConfig, MisspelledKeyFailsAtLoad)
+TEST(SimNamespace, MisspelledKeyFailsAtLoad)
 {
     const std::string err = loadError("sim.thread=4");
     EXPECT_NE(err.find("'sim.thread'"), std::string::npos) << err;
 }
 
-TEST(SimConfig, OtherNamespacesAreNotChecked)
+TEST(SimNamespace, OtherNamespacesAreNotChecked)
 {
-    // Only the sim.* namespace is owned here; hmc.* and host.* keys
-    // belong to their own readers.
-    EXPECT_NO_THROW(load({"hmc.num_cubes=4", "host.num_ports=2"}));
+    // Only the sim.* namespace is checked here; hmc.*, host.* and
+    // obs.* keys belong to their own readers.
+    EXPECT_NO_THROW(
+        load({"hmc.num_cubes=4", "host.num_ports=2", "obs.metrics=on"}));
 }
 
-TEST(SimConfig, BadValuesFail)
+TEST(SimNamespace, RoundTripWritesNoSimKeys)
 {
-    EXPECT_THROW(load({"sim.parallel=maybe"}), FatalError);
-    EXPECT_THROW(load({"sim.threads=1000"}), FatalError);
+    Config out;
+    SystemConfig{}.toConfig(out);
+    for (const std::string &key : out.keys())
+        EXPECT_NE(key.rfind("sim.", 0), 0u) << key;
+    EXPECT_NO_THROW(SystemConfig::fromConfig(out));
 }
 
 }  // namespace
