@@ -39,13 +39,11 @@ main(int argc, char **argv)
             SystemConfig cfg;
             cfg.hmc.topology = topo;
             System sys(cfg);
+            WorkloadSpec w;
+            w.requestBytes = bytes;
             for (PortId p = 0; p < 9; ++p) {
-                GupsPortSpec gp;
-                gp.gen.pattern = sys.addressMap().pattern(16, 16);
-                gp.gen.requestBytes = bytes;
-                gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-                gp.gen.seed = 31 + p;
-                sys.configureGupsPort(p, gp);
+                w.seed = 31 + p;
+                sys.configureWorkload(p, w);
             }
             sys.run(warmup);
             const ExperimentResult r = sys.measure(window);

@@ -38,15 +38,12 @@ main(int argc, char **argv)
         System sys(cfg);
         const std::uint32_t writers =
             static_cast<std::uint32_t>(frac * 9 + 0.5);
+        WorkloadSpec w;
+        w.requestBytes = 128;
         for (PortId p = 0; p < 9; ++p) {
-            GupsPortSpec gp;
-            gp.kind = p < writers ? ReqKind::WriteOnly
-                                  : ReqKind::ReadOnly;
-            gp.gen.pattern = sys.addressMap().pattern(16, 16);
-            gp.gen.requestBytes = 128;
-            gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-            gp.gen.seed = 71 + p;
-            sys.configureGupsPort(p, gp);
+            w.kind = p < writers ? ReqKind::WriteOnly : ReqKind::ReadOnly;
+            w.seed = 71 + p;
+            sys.configureWorkload(p, w);
         }
         sys.run(warmup);
         const ExperimentResult r = sys.measure(window);

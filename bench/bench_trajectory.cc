@@ -63,17 +63,17 @@ struct PerfPoint {
     }
 };
 
-/** Configure @p numPorts read-only GUPS ports spanning 16 vaults. */
+/** Configure @p numPorts read-only GUPS ports spanning 16 vaults
+ *  (and, on a chain, every cube). */
 void
-configureGupsPorts(System &sys, std::uint32_t numPorts,
-                   std::uint32_t requestBytes)
+configureGups(System &sys, std::uint32_t numPorts,
+              std::uint32_t requestBytes)
 {
+    WorkloadSpec w;
+    w.requestBytes = requestBytes;
     for (PortId p = 0; p < numPorts; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(16, 16);
-        gp.gen.requestBytes = requestBytes;
-        gp.gen.seed = 0x9e3779b9u + p;
-        sys.configureGupsPort(p, gp);
+        w.seed = 0x9e3779b9u + p;
+        sys.configureWorkload(p, w);
     }
 }
 
@@ -83,7 +83,7 @@ measureScenario(const std::string &name, const SystemConfig &cfg,
                 Tick warmup, Tick window)
 {
     System sys(cfg);
-    configureGupsPorts(sys, cfg.host.numPorts, 32);
+    configureGups(sys, cfg.host.numPorts, 32);
     sys.run(warmup);
 
     PerfPoint pt;
@@ -302,7 +302,7 @@ main(int argc, char **argv)
         SystemConfig cfg;
         cfg.obs.profile = true;
         System sys(cfg);
-        configureGupsPorts(sys, cfg.host.numPorts, 32);
+        configureGups(sys, cfg.host.numPorts, 32);
         sys.run(warmup);
         const std::uint64_t before = sys.kernel().eventsExecuted();
         const WallTimer timer;

@@ -49,12 +49,12 @@ lowLoadLatencyToCube(const SystemConfig &cfg, CubeId cube, Tick warmup,
 {
     System sys(cfg);
     Rng rng(1234 + cube);
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, sys.addressMap().cubePattern(cube),
-                               cfg.hmc.totalCapacityBytes(), 512, 32);
-    sp.loop = true;
-    sp.batchSize = 1;
-    sys.configureStreamPort(0, sp);
+    WorkloadSpec w;
+    w.batchSize = 1;
+    sys.configureWorkload(
+        0, w,
+        std::make_unique<TraceSource>(TraceSource::Params{makeRandomTrace(
+            rng, sys.addressMap().cubePattern(cube), 512, 32)}));
     sys.run(warmup);
     return sys.measure(window).avgReadLatencyNs;
 }

@@ -77,13 +77,11 @@ throttleCliff()
     cfg.hmc.power.throttle.maxSlowdown = 4.0;
 
     System sys(cfg);
+    WorkloadSpec w;
+    w.requestBytes = 128;
     for (PortId p = 0; p < 9; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(16, 16);
-        gp.gen.requestBytes = 128;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 7919 + p;
-        sys.configureGupsPort(p, gp);
+        w.seed = 7919 + p;
+        sys.configureWorkload(p, w);
     }
 
     bench::CsvOutput csv_out("fig_power_thermal_throttle");

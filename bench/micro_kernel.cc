@@ -125,13 +125,11 @@ BM_EndToEndGups(benchmark::State &state)
     for (auto _ : state) {
         SystemConfig cfg;
         System sys(cfg);
+        WorkloadSpec w;
+        w.requestBytes = bytes;
         for (PortId p = 0; p < 9; ++p) {
-            GupsPortSpec gp;
-            gp.gen.pattern = sys.addressMap().pattern(16, 16);
-            gp.gen.requestBytes = bytes;
-            gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-            gp.gen.seed = 5 + p;
-            sys.configureGupsPort(p, gp);
+            w.seed = 5 + p;
+            sys.configureWorkload(p, w);
         }
         sys.run(10 * kMicrosecond);
         benchmark::DoNotOptimize(sys.now());

@@ -43,14 +43,13 @@ runOne(SystemConfig cfg)
     }
 
     // All nine GUPS ports, random 64 B reads over every cube.
+    WorkloadSpec w;
+    w.patternVaults = cfg.hmc.numVaults;
+    w.patternBanks = cfg.hmc.numBanksPerVault;
+    w.requestBytes = 64;
     for (PortId p = 0; p < cfg.host.numPorts; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = map.pattern(cfg.hmc.numVaults,
-                                     cfg.hmc.numBanksPerVault);
-        gp.gen.requestBytes = 64;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 17 + p;
-        sys.configureGupsPort(p, gp);
+        w.seed = 17 + p;
+        sys.configureWorkload(p, w);
     }
     sys.run(10 * kMicrosecond);
     const ExperimentResult r = sys.measure(25 * kMicrosecond);

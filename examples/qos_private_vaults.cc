@@ -50,22 +50,19 @@ run(bool partitioned)
         ? sys.addressMap().pattern(2, 16, 14)   // private vaults 14-15
         : sys.addressMap().pattern(4, 16, 12);  // shared hot quadrant
 
-    StreamPortSpec hp;
-    hp.trace = makeRandomTrace(rng, hi, cfg.hmc.totalCapacityBytes(), 4096, 64);
-    hp.loop = true;
+    WorkloadSpec hp;
     hp.window = 8;  // latency-sensitive: shallow queue
-    sys.configureStreamPort(0, hp);
+    sys.configureWorkload(0, hp,
+                          std::make_unique<TraceSource>(TraceSource::Params{
+                              makeRandomTrace(rng, hi, 4096, 64)}));
 
-    const AddressPattern bg = partitioned
-        ? sys.addressMap().pattern(2, 16, 12)   // vaults 12-13
-        : sys.addressMap().pattern(4, 16, 12);  // whole hot quadrant
+    WorkloadSpec bg;
+    bg.requestBytes = 16;
+    bg.patternVaults = partitioned ? 2 : 4;  // vaults 12-13 : 12-15
+    bg.baseVault = 12;
     for (PortId p = 1; p <= 8; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = bg;
-        gp.gen.requestBytes = 16;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 100 + p;
-        sys.configureGupsPort(p, gp);
+        bg.seed = 100 + p;
+        sys.configureWorkload(p, bg);
     }
 
     sys.run(20 * kMicrosecond);

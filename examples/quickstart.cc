@@ -35,12 +35,12 @@ try {
                 cfg.hmc.peakBandwidthGBs());
 
     // One GUPS port, random 64 B reads over every vault and bank.
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(cfg.hmc.numVaults,
-                                              cfg.hmc.numBanksPerVault);
-    gp.gen.requestBytes = 64;
-    gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec w;
+    w.patternVaults = cfg.hmc.numVaults;
+    w.patternBanks = cfg.hmc.numBanksPerVault;
+    w.requestBytes = 64;
+    w.seed = 1;
+    sys.configureWorkload(0, w);
 
     sys.run(20 * kMicrosecond);                       // warm up
     ExperimentResult r = sys.measure(50 * kMicrosecond);
@@ -56,9 +56,9 @@ try {
 
     // Scale up to all nine ports, like the paper's GUPS runs.
     for (PortId p = 1; p < cfg.host.numPorts; ++p) {
-        GupsPortSpec pp = gp;
-        pp.gen.seed = gp.gen.seed + p;
-        sys.configureGupsPort(p, pp);
+        WorkloadSpec pw = w;
+        pw.seed = w.seed + p;
+        sys.configureWorkload(p, pw);
     }
     sys.run(20 * kMicrosecond);
     r = sys.measure(50 * kMicrosecond);

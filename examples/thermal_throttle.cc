@@ -36,14 +36,13 @@ try {
     const SystemConfig cfg = SystemConfig::fromConfig(overrides);
 
     System sys(cfg);
+    WorkloadSpec w;
+    w.patternVaults = cfg.hmc.numVaults;
+    w.patternBanks = cfg.hmc.numBanksPerVault;
+    w.requestBytes = 128;
     for (PortId p = 0; p < cfg.host.numPorts; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(
-            cfg.hmc.numVaults, cfg.hmc.numBanksPerVault);
-        gp.gen.requestBytes = 128;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 7919 + p;
-        sys.configureGupsPort(p, gp);
+        w.seed = 7919 + p;
+        sys.configureWorkload(p, w);
     }
 
     std::printf("thermal throttle scenario: 9-port GUPS, 128 B reads\n");

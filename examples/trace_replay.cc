@@ -35,12 +35,12 @@ replayFile(const std::string &path)
 {
     SystemConfig cfg;
     System sys(cfg);
-    StreamPortSpec sp;
-    sp.trace = loadTraceFile(path);
-    sp.loop = false;
-    sys.configureStreamPort(0, sp);
-    std::printf("replaying %zu records from %s\n", sp.trace.size(),
-                path.c_str());
+    Trace trace = loadTraceFile(path);
+    const std::size_t records = trace.size();
+    sys.configureWorkload(0, WorkloadSpec{},
+                          std::make_unique<TraceSource>(TraceSource::Params{
+                              std::move(trace), false}));
+    std::printf("replaying %zu records from %s\n", records, path.c_str());
     if (!sys.runUntilIdle(100 * kMillisecond)) {
         std::fprintf(stderr, "trace did not finish within 100 ms\n");
         return 1;
@@ -64,26 +64,25 @@ try {
 
     // Streaming: sequential 128 B lines -- rides the vault-then-bank
     // interleave perfectly.
-    StreamPortSpec stream;
-    stream.trace = makeStreamTrace(0, 8192, 128, 128);
-    stream.loop = true;
-    sys.configureStreamPort(0, stream);
+    sys.configureWorkload(0, WorkloadSpec{},
+                          std::make_unique<TraceSource>(TraceSource::Params{
+                              makeStreamTrace(0, 8192, 128, 128)}));
 
     // Random: uniform 64 B over the whole cube.
-    StreamPortSpec random;
-    random.trace = makeRandomTrace(
-        rng, sys.addressMap().pattern(16, 16), cfg.hmc.totalCapacityBytes(),
-        8192, 64);
-    random.loop = true;
-    sys.configureStreamPort(1, random);
+    sys.configureWorkload(1, WorkloadSpec{},
+                          std::make_unique<TraceSource>(TraceSource::Params{
+                              makeRandomTrace(
+                                  rng, sys.addressMap().pattern(16, 16),
+                                  8192, 64)}));
 
     // Pointer chase: dependent-ish hops inside a 16 MB pool with a
     // shallow window, the latency-bound extreme.
-    StreamPortSpec chase;
-    chase.trace = makePointerChaseTrace(rng, 0, 16ull << 20, 8192, 16);
-    chase.loop = true;
+    WorkloadSpec chase;
     chase.window = 1;  // one dependent load at a time
-    sys.configureStreamPort(2, chase);
+    sys.configureWorkload(2, chase,
+                          std::make_unique<TraceSource>(TraceSource::Params{
+                              makePointerChaseTrace(rng, 0, 16ull << 20,
+                                                    8192, 16)}));
 
     sys.run(20 * kMicrosecond);
     const ExperimentResult r = sys.measure(60 * kMicrosecond);

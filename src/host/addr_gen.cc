@@ -10,20 +10,19 @@ GupsAddrGen::GupsAddrGen(const Params &params)
 {
     if (!isPow2(params_.requestBytes))
         fatal("GupsAddrGen: request size must be a power of two");
-    if (!isPow2(params_.capacity))
-        fatal("GupsAddrGen: capacity must be a power of two");
     alignMask_ = ~static_cast<Addr>(params_.requestBytes - 1);
 }
 
 Addr
 GupsAddrGen::next()
 {
+    // The pattern's mask alone bounds the address (and wraps the
+    // linear walk); map.pattern() masks never exceed the capacity.
     Addr raw;
     if (params_.mode == AddrMode::Random) {
-        raw = rng_.next() & (params_.capacity - 1);
+        raw = rng_.next();
     } else {
-        raw = (linearCounter_ * params_.requestBytes) &
-            (params_.capacity - 1);
+        raw = linearCounter_ * params_.requestBytes;
         ++linearCounter_;
     }
     return params_.pattern.apply(raw) & alignMask_;

@@ -39,7 +39,6 @@ class GupsAddrGen
         AddrMode mode = AddrMode::Random;
         AddressPattern pattern;         ///< mask/anti-mask confinement
         std::uint32_t requestBytes = 32;
-        std::uint64_t capacity = 4ull << 30;
         std::uint64_t seed = 1;
     };
 

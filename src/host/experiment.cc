@@ -195,23 +195,23 @@ runGups(const SystemConfig &cfg, const GupsSpec &spec)
     if (spec.activePorts == 0 || spec.activePorts > cfg.host.numPorts)
         fatal("runGups: active port count out of range");
 
-    const AddressPattern pattern = sys.addressMap().pattern(
-        spec.numVaults, spec.numBanks, spec.baseVault, spec.baseBank);
-
     const std::uint32_t write_ports = static_cast<std::uint32_t>(
         spec.writePortFraction * spec.activePorts + 0.5);
 
+    WorkloadSpec w;
+    w.gupsMode = toString(spec.mode);
+    w.requestBytes = spec.requestBytes;
+    w.patternVaults = spec.numVaults;
+    w.patternBanks = spec.numBanks;
+    w.baseVault = spec.baseVault;
+    w.baseBank = spec.baseBank;
     for (PortId p = 0; p < spec.activePorts; ++p) {
-        GupsPortSpec gp;
-        gp.kind = p < write_ports ? ReqKind::WriteOnly : spec.kind;
-        gp.gen.mode = spec.mode;
-        gp.gen.pattern = pattern;
-        gp.gen.requestBytes = spec.requestBytes;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
+        w.kind = p < write_ports ? ReqKind::WriteOnly : spec.kind;
         // Kept verbatim from the seed (not mixSeeds) so the paper
-        // figures' address streams stay bit-identical.
-        gp.gen.seed = spec.seed * 7919 + p;
-        sys.configureGupsPort(p, gp);
+        // figures' address streams stay bit-identical.  A zero would
+        // be re-derived from host.seed; GupsSpec seeds start at 1.
+        w.seed = spec.seed * 7919 + p;
+        sys.configureWorkload(p, w);
     }
 
     sys.run(spec.warmup);
@@ -226,17 +226,16 @@ runStreamBatch(const SystemConfig &cfg, const StreamBatchSpec &spec)
     const AddressPattern pattern =
         sys.addressMap().pattern(1, spec.numBanks, spec.vault, 0);
 
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, pattern, cfg.hmc.totalCapacityBytes(),
-                               spec.traceLength, spec.requestBytes);
-    sp.loop = true;
-    sp.batchSize = spec.batchSize;
     // The in-flight window stays at the hardware default: for batches
     // beyond the window, later requests wait (untimed) in the stream
     // buffer, which is what produces the paper's constant region in
     // Fig. 8.
-    sp.window = 0;
-    sys.configureStreamPort(0, sp);
+    WorkloadSpec w;
+    w.batchSize = spec.batchSize;
+    sys.configureWorkload(
+        0, w,
+        std::make_unique<TraceSource>(TraceSource::Params{makeRandomTrace(
+            rng, pattern, spec.traceLength, spec.requestBytes)}));
 
     sys.run(spec.warmup);
     return sys.measure(spec.window);
@@ -251,15 +250,16 @@ runStreamVaults(const SystemConfig &cfg, const StreamVaultsSpec &spec)
         fatal("runStreamVaults: more vaults than ports");
 
     System sys(cfg);
+    WorkloadSpec w;
+    w.window = spec.inFlightWindow;
     for (std::size_t i = 0; i < spec.vaults.size(); ++i) {
         Rng rng(spec.seed * 31337 + i);
-        StreamPortSpec sp;
-        sp.trace = makeRandomTrace(
-            rng, sys.addressMap().vaultPattern(spec.vaults[i]),
-            cfg.hmc.totalCapacityBytes(), spec.traceLength, spec.requestBytes);
-        sp.loop = true;
-        sp.window = spec.inFlightWindow;
-        sys.configureStreamPort(static_cast<PortId>(i), sp);
+        sys.configureWorkload(
+            static_cast<PortId>(i), w,
+            std::make_unique<TraceSource>(TraceSource::Params{
+                makeRandomTrace(rng,
+                                sys.addressMap().vaultPattern(spec.vaults[i]),
+                                spec.traceLength, spec.requestBytes)}));
     }
 
     sys.run(spec.warmup);

@@ -28,14 +28,14 @@ Fpga::Fpga(Kernel &kernel, Component *parent, std::string name,
 WorkloadPort::Params
 Fpga::defaultPortParams(PortId p) const
 {
-    GupsPortSpec spec;
-    spec.kind = ReqKind::ReadOnly;
-    spec.gen.mode = AddrMode::Random;
-    spec.gen.pattern = AddressPattern{attach_.totalCapacityBytes - 1, 0};
-    spec.gen.requestBytes = 32;
-    spec.gen.capacity = attach_.totalCapacityBytes;
-    spec.gen.seed = mixSeeds(cfg_.seed, p);
-    return workloadFromGupsSpec(spec, cfg_);
+    // Built directly, without WorkloadSpec parsing: every System
+    // construction pays this once per port.
+    GupsSource::Params gups;
+    gups.gen.pattern = AddressPattern{attach_.totalCapacityBytes - 1, 0};
+    gups.gen.seed = mixSeeds(cfg_.seed, p);
+    WorkloadPort::Params params;
+    params.source = std::make_unique<GupsSource>(gups);
+    return params;
 }
 
 Port &
@@ -72,22 +72,12 @@ Fpga::configureWorkloadPort(PortId p, WorkloadPort::Params params)
 }
 
 WorkloadPort &
-Fpga::configureWorkload(PortId p, const WorkloadSpec &spec)
+Fpga::configureWorkload(PortId p, const WorkloadSpec &spec,
+                        TrafficSourcePtr source)
 {
     return configureWorkloadPort(
-        p, buildWorkloadParams(spec, *attach_.map, cfg_, p));
-}
-
-WorkloadPort &
-Fpga::configureGupsPort(PortId p, const GupsPortSpec &params)
-{
-    return configureWorkloadPort(p, workloadFromGupsSpec(params, cfg_));
-}
-
-WorkloadPort &
-Fpga::configureStreamPort(PortId p, const StreamPortSpec &params)
-{
-    return configureWorkloadPort(p, workloadFromStreamSpec(params, cfg_));
+        p, buildWorkloadParams(spec, *attach_.map, cfg_, p,
+                               std::move(source)));
 }
 
 void

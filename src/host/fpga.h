@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "host/hmc_host_controller.h"
+#include "host/workload/sources.h"
 #include "host/workload/workload_build.h"
 #include "host/workload/workload_port.h"
 #include "sim/clock.h"
@@ -33,19 +34,13 @@ class Fpga : public Component
     Port &port(PortId p);
     std::uint32_t numPorts() const { return cfg_.numPorts; }
 
-    /** Replace port @p p with a fully parameterized port (active). */
-    WorkloadPort &configureWorkloadPort(PortId p,
-                                        WorkloadPort::Params params);
-
-    /** Replace port @p p per a config-level workload spec (active). */
-    WorkloadPort &configureWorkload(PortId p, const WorkloadSpec &spec);
-
-    /** Replace port @p p with a GUPS-firmware port (active). */
-    WorkloadPort &configureGupsPort(PortId p, const GupsPortSpec &params);
-
-    /** Replace port @p p with a stream-firmware port (active). */
-    WorkloadPort &configureStreamPort(PortId p,
-                                      const StreamPortSpec &params);
+    /**
+     * Replace port @p p per a workload spec (active).  A non-null
+     * @p source replaces the traffic the spec would generate; see
+     * buildWorkloadParams().
+     */
+    WorkloadPort &configureWorkload(PortId p, const WorkloadSpec &spec,
+                                    TrafficSourcePtr source = nullptr);
 
     /** Deactivate every port (they keep their workload). */
     void deactivateAllPorts();
@@ -74,6 +69,8 @@ class Fpga : public Component
 
     void tickAll();
     void rebindController();
+    WorkloadPort &configureWorkloadPort(PortId p,
+                                        WorkloadPort::Params params);
     WorkloadPort::Params defaultPortParams(PortId p) const;
 };
 

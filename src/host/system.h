@@ -8,25 +8,34 @@
  * @code
  *   SystemConfig cfg;                       // paper's AC-510 defaults
  *   System sys(cfg);
- *   GupsPortSpec gp;
- *   gp.gen.pattern = sys.addressMap().pattern(16, 16);
- *   gp.gen.requestBytes = 64;
- *   sys.configureGupsPort(0, gp);
+ *   WorkloadSpec w;                         // GUPS over 16 vaults x 16 banks
+ *   w.requestBytes = 64;
+ *   w.seed = 1;
+ *   sys.configureWorkload(0, w);
  *   sys.run(20 * kMicrosecond);             // warm up
  *   ExperimentResult r = sys.measure(50 * kMicrosecond);
  * @endcode
  *
- * Workloads can also be declared entirely in config
- * (host.workload_ports=N, host.workload=zipf, host.port0.workload=...,
- * see host/workload/workload_spec.h); such ports are configured and
- * activated at System construction.
+ * A WorkloadSpec says what a port sends (host/workload/workload_spec.h)
+ * and the same spec can be declared entirely in config
+ * (host.workload_ports=N, host.workload=zipf, host.port0.workload=...);
+ * such ports are configured and activated at System construction.
+ * Traffic a spec cannot describe (a loaded or hand-built trace, a
+ * cube-confined pattern) is passed as a TrafficSource after the spec:
+ *
+ * @code
+ *   WorkloadSpec stream;                    // kind + injection only
+ *   stream.window = 8;
+ *   sys.configureWorkload(1, stream, std::make_unique<TraceSource>(
+ *       TraceSource::Params{loadTraceFile("app.trace"), false}));
+ * @endcode
  *
  * Multi-host fabrics: host.num_hosts builds N independent FPGA hosts
  * (each with its own ports, controller, tag pools) attached at
  * distinct chain entry cubes (host.host<H>.entry_cube, default spread
  * evenly).  Config-driven workloads are replicated onto every host
- * with decorrelated seeds; the single-port configure* helpers target
- * host 0, configureWorkloadAt() targets any host.  num_hosts=1 is
+ * with decorrelated seeds; configureWorkload() targets host 0,
+ * configureWorkloadAt() any host.  num_hosts=1 is
  * bit-identical to the classic single-host build.
  */
 
@@ -102,35 +111,20 @@ class System
     /** Port @p p of host @p h. */
     Port &portAt(HostId h, PortId p) { return fpga(h).port(p); }
 
+    /** Configure port @p p of host 0 (see Fpga::configureWorkload). */
     WorkloadPort &
-    configureWorkloadPort(PortId p, WorkloadPort::Params params)
+    configureWorkload(PortId p, const WorkloadSpec &spec,
+                      TrafficSourcePtr source = nullptr)
     {
-        return fpga().configureWorkloadPort(p, std::move(params));
-    }
-
-    WorkloadPort &
-    configureWorkload(PortId p, const WorkloadSpec &spec)
-    {
-        return fpga().configureWorkload(p, spec);
+        return fpga().configureWorkload(p, spec, std::move(source));
     }
 
     /** Configure one port of one specific host. */
     WorkloadPort &
-    configureWorkloadAt(HostId h, PortId p, const WorkloadSpec &spec)
+    configureWorkloadAt(HostId h, PortId p, const WorkloadSpec &spec,
+                        TrafficSourcePtr source = nullptr)
     {
-        return fpga(h).configureWorkload(p, spec);
-    }
-
-    WorkloadPort &
-    configureGupsPort(PortId p, const GupsPortSpec &params)
-    {
-        return fpga().configureGupsPort(p, params);
-    }
-
-    WorkloadPort &
-    configureStreamPort(PortId p, const StreamPortSpec &params)
-    {
-        return fpga().configureStreamPort(p, params);
+        return fpga(h).configureWorkload(p, spec, std::move(source));
     }
 
     /** Advance simulated time by @p duration. */

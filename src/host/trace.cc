@@ -162,15 +162,15 @@ makeStreamTrace(Addr base, std::size_t count, std::uint32_t bytes,
 
 Trace
 makeRandomTrace(Rng &rng, const AddressPattern &pattern,
-                std::uint64_t capacity, std::size_t count,
-                std::uint32_t bytes, double write_fraction)
+                std::size_t count, std::uint32_t bytes,
+                double write_fraction)
 {
     Trace out;
     out.reserve(count);
     const Addr align = ~static_cast<Addr>(bytes - 1);
     for (std::size_t i = 0; i < count; ++i) {
         TraceRecord r;
-        r.addr = pattern.apply(rng.next() & (capacity - 1)) & align;
+        r.addr = pattern.apply(rng.next()) & align;
         r.bytes = bytes;
         r.isWrite = write_fraction > 0.0 && rng.nextBool(write_fraction);
         out.push_back(r);

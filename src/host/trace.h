@@ -56,8 +56,8 @@ Trace makeStreamTrace(Addr base, std::size_t count, std::uint32_t bytes,
 
 /** Uniform-random accesses confined by @p pattern. */
 Trace makeRandomTrace(Rng &rng, const AddressPattern &pattern,
-                      std::uint64_t capacity, std::size_t count,
-                      std::uint32_t bytes, double write_fraction = 0.0);
+                      std::size_t count, std::uint32_t bytes,
+                      double write_fraction = 0.0);
 
 /**
  * Pointer-chase style dependent accesses: a random permutation walk

@@ -110,8 +110,6 @@ ZipfSource::ZipfSource(const Params &params)
         fatal("ZipfSource: theta must be in [0, 1)");
     if (!isPow2(params_.requestBytes))
         fatal("ZipfSource: request size must be a power of two");
-    if (!isPow2(params_.capacity))
-        fatal("ZipfSource: capacity must be a power of two");
     if (params_.writeFraction < 0.0 || params_.writeFraction > 1.0)
         fatal("ZipfSource: write fraction outside [0, 1]");
     if (params_.hotItems > (1ull << 26))
@@ -149,7 +147,7 @@ ZipfSource::next(Tick, WorkloadRequest &out)
     } else {
         raw = rng_.next();
     }
-    out.addr = target.apply(raw & (params_.capacity - 1)) & alignMask_;
+    out.addr = target.apply(raw) & alignMask_;
     out.bytes = params_.requestBytes;
     out.isWrite = params_.writeFraction > 0.0 &&
         rng_.nextBool(params_.writeFraction);

@@ -100,7 +100,6 @@ class ZipfSource : public TrafficSource
         std::vector<AddressPattern> targets;
         double theta = 0.99;
         std::uint64_t hotItems = 0;
-        std::uint64_t capacity = 4ull << 30;
         std::uint32_t requestBytes = 32;
         double writeFraction = 0.0;
         std::uint64_t seed = 1;

@@ -1,5 +1,6 @@
 #include "host/workload/workload_build.h"
 
+#include <cstring>
 #include <utility>
 
 #include "common/log.h"
@@ -27,7 +28,6 @@ buildLeaf(const WorkloadSpec &spec, const std::string &type,
         p.gen.mode = addrModeFromString(spec.gupsMode);
         p.gen.pattern = confinement(spec, map);
         p.gen.requestBytes = spec.requestBytes;
-        p.gen.capacity = map.totalCapacity();
         p.gen.seed = seed;
         p.writeFraction = spec.writeFraction;
         return std::make_unique<GupsSource>(p);
@@ -57,7 +57,6 @@ buildLeaf(const WorkloadSpec &spec, const std::string &type,
             p.hotItems = spec.zipfHotItems;
         }
         p.theta = spec.zipfTheta;
-        p.capacity = map.totalCapacity();
         p.requestBytes = spec.requestBytes;
         p.writeFraction = spec.writeFraction;
         p.seed = seed;
@@ -70,7 +69,6 @@ buildLeaf(const WorkloadSpec &spec, const std::string &type,
         } else {
             Rng rng(seed);
             p.trace = makeRandomTrace(rng, confinement(spec, map),
-                                      map.totalCapacity(),
                                       spec.traceLength, spec.requestBytes,
                                       spec.writeFraction);
         }
@@ -126,13 +124,18 @@ buildTrafficSource(const WorkloadSpec &spec, const AddressMap &map,
 
 WorkloadPort::Params
 buildWorkloadParams(const WorkloadSpec &spec, const AddressMap &map,
-                    const HostConfig &host, PortId port)
+                    const HostConfig &host, PortId port,
+                    TrafficSourcePtr source)
 {
     spec.validate();
-    const std::uint64_t seed =
-        spec.seed != 0 ? spec.seed : mixSeeds(host.seed, port);
     WorkloadPort::Params p;
-    p.source = buildTrafficSource(spec, map, seed);
+    if (source) {
+        p.source = std::move(source);
+    } else {
+        const std::uint64_t seed =
+            spec.seed != 0 ? spec.seed : mixSeeds(host.seed, port);
+        p.source = buildTrafficSource(spec, map, seed);
+    }
     p.kind = spec.kind;
     p.inject.mode = injectModeFromString(spec.inject);
     p.inject.window = spec.window;
@@ -141,7 +144,7 @@ buildWorkloadParams(const WorkloadSpec &spec, const AddressMap &map,
     p.inject.burstiness = spec.burstiness;
     // Trace replay keeps the stream firmware's response-path model;
     // generated traffic keeps the GUPS firmware's immediate drain.
-    if (spec.type == "trace") {
+    if (std::strcmp(p.source->kind(), "trace") == 0) {
         p.drainFlitsPerCycle = host.streamDrainFlitsPerCycle;
         if (p.inject.window == 0)
             p.inject.window = host.streamWindow;

@@ -29,11 +29,20 @@ TrafficSourcePtr buildTrafficSource(const WorkloadSpec &spec,
 /**
  * Resolve @p spec into full port parameters for @p port.  A zero
  * spec.seed derives the port seed as mixSeeds(host.seed, port).
+ *
+ * A non-null @p source is used in place of the one the spec would
+ * build: traffic a spec cannot describe (a loaded or hand-built trace,
+ * one RNG shared across ports, a cube-confined pattern).  The spec
+ * still supplies the request kind and injection policy.  Either way a
+ * top-level trace source ("trace" kind()) selects the stream firmware:
+ * host.streamDrainFlitsPerCycle and, for a zero window,
+ * host.streamWindow.
  */
 WorkloadPort::Params buildWorkloadParams(const WorkloadSpec &spec,
                                          const AddressMap &map,
                                          const HostConfig &host,
-                                         PortId port);
+                                         PortId port,
+                                         TrafficSourcePtr source = nullptr);
 
 }  // namespace hmcsim
 

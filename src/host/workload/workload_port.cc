@@ -4,7 +4,6 @@
 
 #include "common/log.h"
 #include "common/units.h"
-#include "host/workload/sources.h"
 
 namespace hmcsim {
 
@@ -207,40 +206,6 @@ WorkloadPort::resetOwnStats()
 {
     Port::resetOwnStats();
     offered_ = 0.0;
-}
-
-// ----- legacy firmware spec mappings -----
-
-WorkloadPort::Params
-workloadFromGupsSpec(const GupsPortSpec &spec, const HostConfig &cfg)
-{
-    GupsSource::Params sp;
-    sp.gen = spec.gen;
-    WorkloadPort::Params p;
-    p.source = std::make_unique<GupsSource>(sp);
-    p.kind = spec.kind;
-    p.inject.mode = InjectMode::ClosedLoop;
-    p.inject.window = cfg.tagsPerPort;
-    p.drainFlitsPerCycle = 0;
-    return p;
-}
-
-WorkloadPort::Params
-workloadFromStreamSpec(StreamPortSpec spec, const HostConfig &cfg)
-{
-    if (spec.trace.empty())
-        fatal("StreamPort: empty trace");
-    TraceSource::Params tp;
-    tp.trace = std::move(spec.trace);
-    tp.loop = spec.loop;
-    WorkloadPort::Params p;
-    p.source = std::make_unique<TraceSource>(std::move(tp));
-    p.kind = ReqKind::ReadOnly;
-    p.inject.mode = InjectMode::ClosedLoop;
-    p.inject.window = spec.window != 0 ? spec.window : cfg.streamWindow;
-    p.inject.batchSize = spec.batchSize;
-    p.drainFlitsPerCycle = cfg.streamDrainFlitsPerCycle;
-    return p;
 }
 
 }  // namespace hmcsim

@@ -2,11 +2,12 @@
  * @file
  * WorkloadPort: the single FPGA request port, parameterized by a
  * TrafficSource (what to access) and an InjectionConfig (when to
- * inject).  It subsumes the seed's GupsPort (tag-limited generated
- * traffic, immediate response completion) and StreamPort (windowed
- * trace replay with a rate-limited response drain); the legacy
- * GupsPortSpec / StreamPortSpec mappings reproduce both firmware
- * behaviours bit-identically.
+ * inject).  It models both vendor firmwares: the GUPS one (tag-limited
+ * generated traffic, immediate response completion) and the multi-port
+ * stream one (windowed trace replay with a rate-limited response
+ * drain).  buildWorkloadParams() (host/workload/workload_build.h)
+ * picks the firmware from the source: trace replay gets the stream
+ * drain, everything else the GUPS path.
  */
 
 #ifndef HMCSIM_HOST_WORKLOAD_WORKLOAD_PORT_H_
@@ -15,7 +16,6 @@
 #include "host/addr_gen.h"
 #include "host/port.h"
 #include "host/tag_pool.h"
-#include "host/trace.h"
 #include "host/workload/injection.h"
 #include "host/workload/traffic_source.h"
 
@@ -101,37 +101,6 @@ class WorkloadPort : public Port
     bool tryIssueOne();
     void complete(const HmcPacketPtr &pkt);
 };
-
-// ----- legacy firmware specs (the seed's port parameterizations) -----
-
-/** The vendor GUPS firmware: tag-limited generated traffic. */
-struct GupsPortSpec {
-    ReqKind kind = ReqKind::ReadOnly;
-    GupsAddrGen::Params gen;
-};
-
-/** The multi-port stream firmware: windowed trace replay. */
-struct StreamPortSpec {
-    Trace trace;
-    /** Loop the trace forever (continuous load). */
-    bool loop = true;
-    /** Max requests in flight; 0 uses the host config default. */
-    std::uint32_t window = 0;
-    /**
-     * Batch mode: issue @p batchSize requests, wait for all
-     * responses, repeat.  0 = continuous windowed issue.
-     * This is the paper's "number of requests in a stream".
-     */
-    std::uint32_t batchSize = 0;
-};
-
-/** Map a legacy GUPS spec onto WorkloadPort parameters. */
-WorkloadPort::Params workloadFromGupsSpec(const GupsPortSpec &spec,
-                                          const HostConfig &cfg);
-
-/** Map a legacy stream spec onto WorkloadPort parameters. */
-WorkloadPort::Params workloadFromStreamSpec(StreamPortSpec spec,
-                                            const HostConfig &cfg);
 
 }  // namespace hmcsim
 

@@ -307,13 +307,10 @@ void
 runConservation(const SystemConfig &cfg)
 {
     System sys(cfg);
+    WorkloadSpec w;
     for (PortId p = 0; p < 3; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(16, 16);
-        gp.gen.requestBytes = 32;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 707 + p;
-        sys.configureGupsPort(p, gp);
+        w.seed = 707 + p;
+        sys.configureWorkload(p, w);
     }
     sys.run(6 * kMicrosecond);
     for (PortId p = 0; p < 3; ++p)
@@ -361,12 +358,12 @@ lowLoadLatencyToCube(const SystemConfig &cfg, CubeId cube)
 {
     System sys(cfg);
     Rng rng(99 + cube);
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, sys.addressMap().cubePattern(cube),
-                               cfg.hmc.totalCapacityBytes(), 512, 32);
-    sp.loop = true;
-    sp.batchSize = 1;
-    sys.configureStreamPort(0, sp);
+    WorkloadSpec w;
+    w.batchSize = 1;
+    sys.configureWorkload(
+        0, w,
+        std::make_unique<TraceSource>(TraceSource::Params{makeRandomTrace(
+            rng, sys.addressMap().cubePattern(cube), 512, 32)}));
     sys.run(4 * kMicrosecond);
     return sys.measure(10 * kMicrosecond).avgReadLatencyNs;
 }
@@ -391,12 +388,12 @@ TEST(AdaptiveChainSystem, ZeroLoadTakesNoAdaptiveExits)
     SystemConfig cfg = chainConfig(4, "ring", "adaptive");
     System sys(cfg);
     Rng rng(4242);
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, sys.addressMap().cubePattern(2),
-                               cfg.hmc.totalCapacityBytes(), 512, 32);
-    sp.loop = true;
-    sp.batchSize = 1;
-    sys.configureStreamPort(0, sp);
+    WorkloadSpec w;
+    w.batchSize = 1;
+    sys.configureWorkload(
+        0, w,
+        std::make_unique<TraceSource>(TraceSource::Params{makeRandomTrace(
+            rng, sys.addressMap().cubePattern(2), 512, 32)}));
     sys.run(10 * kMicrosecond);
     const auto stats = sys.stats();
     for (CubeId c = 0; c < 4; ++c) {
@@ -432,6 +429,19 @@ TEST(AdaptiveChainSystem, StaticModeMatchesDefaultConfigExactly)
     EXPECT_EQ(base.totalChainMisroutes, 0u);
 }
 
+/** GUPS reads or writes confined by @p pattern (a WorkloadSpec cannot
+ *  confine traffic to one cube). */
+TrafficSourcePtr
+confinedGups(const AddressPattern &pattern, std::uint32_t bytes,
+             std::uint64_t seed)
+{
+    GupsSource::Params gp;
+    gp.gen.pattern = pattern;
+    gp.gen.requestBytes = bytes;
+    gp.gen.seed = seed;
+    return std::make_unique<GupsSource>(gp);
+}
+
 /** Confine @p base to one cube: AND the masks, OR the fixed bits. */
 AddressPattern
 confineToCube(const AddressMap &map, AddressPattern base, CubeId cube)
@@ -449,27 +459,21 @@ confineToCube(const AddressMap &map, AddressPattern base, CubeId cube)
  * distance-tie cube @p tie whose traffic adaptive routing may detour.
  */
 void
-driveHotAndTie(System &sys, const SystemConfig &cfg, CubeId hot,
-               CubeId tie)
+driveHotAndTie(System &sys, CubeId hot, CubeId tie)
 {
+    WorkloadSpec writes;
+    writes.kind = ReqKind::WriteOnly;
     for (PortId p = 0; p < 3; ++p) {
-        GupsPortSpec gp;
-        gp.kind = ReqKind::WriteOnly;
-        gp.gen.pattern =
-            confineToCube(sys.addressMap(),
-                          sys.addressMap().pattern(1, 1), hot);
-        gp.gen.requestBytes = 64;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 11 + p;
-        sys.configureGupsPort(p, gp);
+        sys.configureWorkload(
+            p, writes,
+            confinedGups(confineToCube(sys.addressMap(),
+                                       sys.addressMap().pattern(1, 1), hot),
+                         64, 11 + p));
     }
     for (PortId p = 3; p < 6; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().cubePattern(tie);
-        gp.gen.requestBytes = 64;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 11 + p;
-        sys.configureGupsPort(p, gp);
+        sys.configureWorkload(
+            p, WorkloadSpec{},
+            confinedGups(sys.addressMap().cubePattern(tie), 64, 11 + p));
     }
     sys.run(30 * kMicrosecond);
 }
@@ -503,7 +507,7 @@ TEST(AdaptiveChainSystem, TieTrafficSplitsBothWaysUnderLoad)
     cfg.host.tagsPerPort = 256;  // enough in flight to fill the chain
     {
         System sys(cfg);
-        driveHotAndTie(sys, cfg, /*hot=*/1, /*tie=*/2);
+        driveHotAndTie(sys, /*hot=*/1, /*tie=*/2);
         const auto stats = sys.stats();
         EXPECT_GT(stats.at("system.chain.hmc0.fwd.route_down"), 0.0);
         EXPECT_GT(stats.at("system.chain.hmc0.fwd.route_wrap"), 0.0);
@@ -515,7 +519,7 @@ TEST(AdaptiveChainSystem, TieTrafficSplitsBothWaysUnderLoad)
     // static flows (no deviations ever).
     cfg.hmc.chain.routing = "static";
     System ssys(cfg);
-    driveHotAndTie(ssys, cfg, 1, 2);
+    driveHotAndTie(ssys, 1, 2);
     const auto sstats = ssys.stats();
     EXPECT_EQ(sstats.at("system.chain.hmc0.fwd.route_wrap"), 0.0);
     EXPECT_EQ(sstats.at("system.chain.hmc0.fwd.adaptive_deviations"), 0.0);
@@ -535,22 +539,17 @@ TEST(ChainSwitchRegression, RxHolBlockingIsAccounted)
     cfg.hmc.chain.forwardQueuePackets = 1;
     cfg.host.tagsPerPort = 256;
     System sys(cfg);
+    WorkloadSpec writes;
+    writes.kind = ReqKind::WriteOnly;
     for (PortId p = 0; p < 3; ++p) {
-        GupsPortSpec gp;
-        gp.kind = ReqKind::WriteOnly;
-        gp.gen.pattern = sys.addressMap().cubePattern(3);
-        gp.gen.requestBytes = 128;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 31 + p;
-        sys.configureGupsPort(p, gp);
+        sys.configureWorkload(
+            p, writes,
+            confinedGups(sys.addressMap().cubePattern(3), 128, 31 + p));
     }
     for (PortId p = 3; p < 6; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().cubePattern(0);
-        gp.gen.requestBytes = 64;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 31 + p;
-        sys.configureGupsPort(p, gp);
+        sys.configureWorkload(
+            p, WorkloadSpec{},
+            confinedGups(sys.addressMap().cubePattern(0), 64, 31 + p));
     }
     sys.run(30 * kMicrosecond);
     const auto stats = sys.stats();

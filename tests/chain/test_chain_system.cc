@@ -46,13 +46,10 @@ void
 runConservation(const SystemConfig &cfg)
 {
     System sys(cfg);
+    WorkloadSpec w;
     for (PortId p = 0; p < 3; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(16, 16);
-        gp.gen.requestBytes = 32;
-        gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-        gp.gen.seed = 101 + p;
-        sys.configureGupsPort(p, gp);
+        w.seed = 101 + p;
+        sys.configureWorkload(p, w);
     }
     sys.run(6 * kMicrosecond);
     for (PortId p = 0; p < 3; ++p)
@@ -150,11 +147,12 @@ TEST(ChainSystem, CubePatternConfinesTraffic)
 {
     const SystemConfig cfg = chainConfig(4, "daisy");
     System sys(cfg);
-    GupsPortSpec gp;
+    // A WorkloadSpec cannot confine traffic to one cube, so the GUPS
+    // source is built by hand.
+    GupsSource::Params gp;
     gp.gen.pattern = sys.addressMap().cubePattern(2);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-    sys.configureGupsPort(0, gp);
+    sys.configureWorkload(0, WorkloadSpec{},
+                          std::make_unique<GupsSource>(gp));
     sys.run(5 * kMicrosecond);
     sys.port(0).setActive(false);
     sys.run(30 * kMicrosecond);
@@ -172,12 +170,12 @@ lowLoadLatencyToCube(const SystemConfig &cfg, CubeId cube)
 {
     System sys(cfg);
     Rng rng(42 + cube);
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, sys.addressMap().cubePattern(cube),
-                               cfg.hmc.totalCapacityBytes(), 512, 32);
-    sp.loop = true;
-    sp.batchSize = 1;  // one request in flight: pure latency floor
-    sys.configureStreamPort(0, sp);
+    WorkloadSpec w;
+    w.batchSize = 1;  // one request in flight: pure latency floor
+    sys.configureWorkload(
+        0, w,
+        std::make_unique<TraceSource>(TraceSource::Params{makeRandomTrace(
+            rng, sys.addressMap().cubePattern(cube), 512, 32)}));
     sys.run(4 * kMicrosecond);
     const ExperimentResult r = sys.measure(10 * kMicrosecond);
     return r.avgReadLatencyNs;
@@ -218,11 +216,9 @@ TEST(ChainSystem, StarHasNoHops)
 {
     const SystemConfig cfg = chainConfig(4, "star");
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec w;
+    w.seed = 1;
+    sys.configureWorkload(0, w);
     sys.run(5 * kMicrosecond);
     sys.port(0).setActive(false);
     sys.run(20 * kMicrosecond);
@@ -238,11 +234,9 @@ TEST(ChainSystem, StatsExposeChainTree)
 {
     const SystemConfig cfg = chainConfig(4, "daisy");
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec w;
+    w.seed = 1;
+    sys.configureWorkload(0, w);
     sys.run(6 * kMicrosecond);
 
     const auto stats = sys.stats();

@@ -15,7 +15,6 @@ base()
     p.mode = AddrMode::Random;
     p.pattern = AddressPattern{(4ull << 30) - 1, 0};
     p.requestBytes = 32;
-    p.capacity = 4ull << 30;
     p.seed = 42;
     return p;
 }
@@ -74,11 +73,10 @@ TEST(AddrGen, LinearWalksSequentially)
     EXPECT_EQ(gen.next(), 128u);
 }
 
-TEST(AddrGen, LinearWrapsAtCapacity)
+TEST(AddrGen, LinearWrapsAtPatternMask)
 {
     GupsAddrGen::Params p = base();
     p.mode = AddrMode::Linear;
-    p.capacity = 256;
     p.pattern = AddressPattern{255, 0};
     p.requestBytes = 64;
     GupsAddrGen gen(p);
@@ -105,13 +103,6 @@ TEST(AddrGen, BadRequestSizeIsFatal)
 {
     GupsAddrGen::Params p = base();
     p.requestBytes = 48;
-    EXPECT_THROW(GupsAddrGen{p}, FatalError);
-}
-
-TEST(AddrGen, BadCapacityIsFatal)
-{
-    GupsAddrGen::Params p = base();
-    p.capacity = 1000;
     EXPECT_THROW(GupsAddrGen{p}, FatalError);
 }
 

@@ -17,13 +17,10 @@ TEST(Experiment, CollectResultAggregatesPorts)
 {
     SystemConfig cfg;
     System sys(cfg);
+    WorkloadSpec w;
     for (PortId p = 0; p < 2; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(16, 16);
-        gp.gen.requestBytes = 32;
-        gp.gen.capacity = cfg.hmc.capacityBytes;
-        gp.gen.seed = 3 + p;
-        sys.configureGupsPort(p, gp);
+        w.seed = 3 + p;
+        sys.configureWorkload(p, w);
     }
     const ExperimentResult r = sys.measure(10 * kMicrosecond);
     ASSERT_EQ(r.ports.size(), 2u);
@@ -49,11 +46,9 @@ TEST(Experiment, IdlePortsExcludedFromResult)
 {
     SystemConfig cfg;
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(4, gp);  // only port 4 is active
+    WorkloadSpec w;
+    w.seed = 1;
+    sys.configureWorkload(4, w);  // only port 4 is active
     const ExperimentResult r = sys.measure(5 * kMicrosecond);
     ASSERT_EQ(r.ports.size(), 1u);
     EXPECT_EQ(r.ports[0].port, 4u);

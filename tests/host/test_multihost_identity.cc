@@ -114,12 +114,9 @@ TEST(MultiHostIdentity, SingleHostKeepsLegacyStatNamespace)
     // The classic fabric keeps its "fpga" component (and stat key)
     // namespace; nothing moved under a host0 prefix.
     System sys((SystemConfig()));
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = SystemConfig{}.hmc.totalCapacityBytes();
-    gp.gen.seed = 9;
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec w;
+    w.seed = 9;
+    sys.configureWorkload(0, w);
     sys.run(3 * kMicrosecond);
     const auto stats = sys.stats();
     EXPECT_EQ(stats.count("system.fpga.controller.requests_sent"), 1u);

@@ -101,7 +101,7 @@ TEST(TraceGen, RandomTraceRespectsPattern)
     Rng rng(5);
     // Confine to low 1 MB.
     const AddressPattern p{0xFFFFF, 0};
-    const Trace t = makeRandomTrace(rng, p, 4ull << 30, 500, 32);
+    const Trace t = makeRandomTrace(rng, p, 500, 32);
     ASSERT_EQ(t.size(), 500u);
     for (const auto &r : t) {
         EXPECT_LT(r.addr, 1u << 20);
@@ -114,7 +114,7 @@ TEST(TraceGen, RandomTraceWriteFraction)
 {
     Rng rng(6);
     const AddressPattern p{0xFFFFF, 0};
-    const Trace t = makeRandomTrace(rng, p, 4ull << 30, 2000, 32, 0.5);
+    const Trace t = makeRandomTrace(rng, p, 2000, 32, 0.5);
     int writes = 0;
     for (const auto &r : t)
         writes += r.isWrite;

@@ -142,11 +142,10 @@ TEST(EndToEnd, ResponsesMatchRequests)
 {
     SystemConfig cfg = fastCfg();
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 64;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec w;
+    w.requestBytes = 64;
+    w.seed = 1;
+    sys.configureWorkload(0, w);
     sys.run(20 * kMicrosecond);
     sys.port(0).setActive(false);
     sys.run(20 * kMicrosecond);  // drain
@@ -175,12 +174,10 @@ TEST(EndToEnd, ReadModifyWriteProducesBoth)
 {
     SystemConfig cfg = fastCfg();
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.kind = ReqKind::ReadModifyWrite;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec w;
+    w.kind = ReqKind::ReadModifyWrite;
+    w.seed = 1;
+    sys.configureWorkload(0, w);
     sys.run(20 * kMicrosecond);
     const Monitor &m = sys.port(0).monitor();
     EXPECT_GT(m.reads(), 100u);

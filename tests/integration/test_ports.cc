@@ -16,24 +16,21 @@ class PortsTest : public ::testing::Test
   protected:
     PortsTest() : sys_(SystemConfig{}) {}
 
-    GupsPortSpec
+    static WorkloadSpec
     gupsParams(std::uint32_t bytes = 32)
     {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys_.addressMap().pattern(16, 16);
-        gp.gen.requestBytes = bytes;
-        gp.gen.capacity = sys_.config().hmc.capacityBytes;
-        gp.gen.seed = 9;
-        return gp;
+        WorkloadSpec w;
+        w.requestBytes = bytes;
+        w.seed = 9;
+        return w;
     }
 
-    StreamPortSpec
-    streamParams(std::size_t n = 64, std::uint32_t bytes = 32)
+    /** Sequential @p n-record trace replay (the stream firmware). */
+    static TrafficSourcePtr
+    streamTrace(std::size_t n, std::uint32_t bytes = 32, bool loop = false)
     {
-        StreamPortSpec sp;
-        sp.trace = makeStreamTrace(0, n, bytes, bytes);
-        sp.loop = false;
-        return sp;
+        return std::make_unique<TraceSource>(TraceSource::Params{
+            makeStreamTrace(0, n, bytes, bytes), loop});
     }
 
     System sys_;
@@ -48,7 +45,7 @@ TEST_F(PortsTest, InactivePortGeneratesNothing)
 
 TEST_F(PortsTest, GupsPortRespectsTagLimit)
 {
-    WorkloadPort &port = sys_.configureGupsPort(0, gupsParams());
+    WorkloadPort &port = sys_.configureWorkload(0, gupsParams());
     sys_.run(10 * kMicrosecond);
     EXPECT_LE(port.tags().peakInUse(),
               sys_.config().host.tagsPerPort);
@@ -57,7 +54,7 @@ TEST_F(PortsTest, GupsPortRespectsTagLimit)
 
 TEST_F(PortsTest, GupsDeactivationDrains)
 {
-    WorkloadPort &port = sys_.configureGupsPort(0, gupsParams());
+    WorkloadPort &port = sys_.configureWorkload(0, gupsParams());
     sys_.run(10 * kMicrosecond);
     port.setActive(false);
     sys_.run(20 * kMicrosecond);
@@ -68,17 +65,17 @@ TEST_F(PortsTest, GupsDeactivationDrains)
 
 TEST_F(PortsTest, StreamPortFinishesFiniteTrace)
 {
-    sys_.configureStreamPort(0, streamParams(64));
+    sys_.configureWorkload(0, WorkloadSpec{}, streamTrace(64));
     EXPECT_TRUE(sys_.runUntilIdle(100 * kMicrosecond));
     EXPECT_EQ(sys_.port(0).monitor().reads(), 64u);
 }
 
 TEST_F(PortsTest, StreamPortHonoursWindow)
 {
-    StreamPortSpec sp = streamParams(5000, 32);
-    sp.loop = true;
-    sp.window = 4;
-    WorkloadPort &port = sys_.configureStreamPort(0, sp);
+    WorkloadSpec w;
+    w.window = 4;
+    WorkloadPort &port =
+        sys_.configureWorkload(0, w, streamTrace(5000, 32, true));
     sys_.run(5 * kMicrosecond);
     EXPECT_LE(port.inFlight(), 4u);
     EXPECT_GT(port.monitor().reads(), 10u);
@@ -86,10 +83,10 @@ TEST_F(PortsTest, StreamPortHonoursWindow)
 
 TEST_F(PortsTest, StreamBatchesComplete)
 {
-    StreamPortSpec sp = streamParams(4096, 32);
-    sp.loop = true;
-    sp.batchSize = 10;
-    WorkloadPort &port = sys_.configureStreamPort(0, sp);
+    WorkloadSpec w;
+    w.batchSize = 10;
+    WorkloadPort &port =
+        sys_.configureWorkload(0, w, streamTrace(4096, 32, true));
     sys_.run(30 * kMicrosecond);
     EXPECT_GT(port.batchesCompleted(), 10u);
     // Reads arrive in multiples of the batch size (plus the batch in
@@ -99,19 +96,16 @@ TEST_F(PortsTest, StreamBatchesComplete)
 
 TEST_F(PortsTest, StreamRecordDelaysThrottle)
 {
-    StreamPortSpec fast = streamParams(200, 32);
-    fast.loop = false;
-    sys_.configureStreamPort(0, fast);
+    sys_.configureWorkload(0, WorkloadSpec{}, streamTrace(200));
     ASSERT_TRUE(sys_.runUntilIdle(1 * kMillisecond));
     const Tick fast_done = sys_.now();
 
     System slow_sys{SystemConfig{}};
-    StreamPortSpec slow;
-    slow.trace = makeStreamTrace(0, 200, 32, 32);
+    TraceSource::Params slow{makeStreamTrace(0, 200, 32, 32), false};
     for (auto &r : slow.trace)
         r.delayNs = 100;  // 100 ns between issues
-    slow.loop = false;
-    slow_sys.configureStreamPort(0, slow);
+    slow_sys.configureWorkload(
+        0, WorkloadSpec{}, std::make_unique<TraceSource>(std::move(slow)));
     ASSERT_TRUE(slow_sys.runUntilIdle(1 * kMillisecond));
     EXPECT_GT(slow_sys.now(), fast_done);
     EXPECT_GE(slow_sys.now(), 200 * 100 * kNanosecond);
@@ -119,10 +113,8 @@ TEST_F(PortsTest, StreamRecordDelaysThrottle)
 
 TEST_F(PortsTest, MixedPortTypesCoexist)
 {
-    sys_.configureGupsPort(0, gupsParams(64));
-    StreamPortSpec sp = streamParams(4096, 64);
-    sp.loop = true;
-    sys_.configureStreamPort(1, sp);
+    sys_.configureWorkload(0, gupsParams(64));
+    sys_.configureWorkload(1, WorkloadSpec{}, streamTrace(4096, 64, true));
     sys_.run(20 * kMicrosecond);
     EXPECT_GT(sys_.port(0).monitor().reads(), 100u);
     EXPECT_GT(sys_.port(1).monitor().reads(), 100u);
@@ -131,9 +123,9 @@ TEST_F(PortsTest, MixedPortTypesCoexist)
 TEST_F(PortsTest, NinePortsShareFairly)
 {
     for (PortId p = 0; p < 9; ++p) {
-        GupsPortSpec gp = gupsParams(32);
-        gp.gen.seed = 100 + p;
-        sys_.configureGupsPort(p, gp);
+        WorkloadSpec w = gupsParams(32);
+        w.seed = 100 + p;
+        sys_.configureWorkload(p, w);
     }
     sys_.run(10 * kMicrosecond);
     sys_.resetStats();
@@ -154,7 +146,7 @@ TEST_F(PortsTest, NinePortsShareFairly)
 
 TEST_F(PortsTest, MonitorBandwidthUsesPaperFormula)
 {
-    sys_.configureGupsPort(0, gupsParams(32));
+    sys_.configureWorkload(0, gupsParams(32));
     sys_.run(10 * kMicrosecond);
     const Monitor &m = sys_.port(0).monitor();
     // Every 32 B read moves 16 B request + 48 B response on the wire.
@@ -163,17 +155,18 @@ TEST_F(PortsTest, MonitorBandwidthUsesPaperFormula)
 
 TEST_F(PortsTest, EmptyTraceIsFatal)
 {
-    StreamPortSpec sp;
-    sp.trace = {};
-    EXPECT_THROW(sys_.configureStreamPort(0, sp), FatalError);
+    EXPECT_THROW(sys_.configureWorkload(0, WorkloadSpec{},
+                                        std::make_unique<TraceSource>(
+                                            TraceSource::Params{})),
+                 FatalError);
 }
 
 TEST_F(PortsTest, WritesInTraceProduceWrites)
 {
-    StreamPortSpec sp;
-    sp.trace = makeStreamTrace(0, 50, 64, 64, /*writes=*/true);
-    sp.loop = false;
-    sys_.configureStreamPort(0, sp);
+    sys_.configureWorkload(
+        0, WorkloadSpec{},
+        std::make_unique<TraceSource>(TraceSource::Params{
+            makeStreamTrace(0, 50, 64, 64, /*writes=*/true), false}));
     ASSERT_TRUE(sys_.runUntilIdle(200 * kMicrosecond));
     EXPECT_EQ(sys_.port(0).monitor().writes(), 50u);
     EXPECT_EQ(sys_.port(0).monitor().reads(), 0u);

@@ -29,12 +29,10 @@ std::unique_ptr<System>
 makeScenario(const SystemConfig &cfg)
 {
     auto sys = std::make_unique<System>(cfg);
+    WorkloadSpec w;
     for (PortId p = 0; p < 4; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys->addressMap().pattern(16, 16);
-        gp.gen.requestBytes = 32;
-        gp.gen.seed = 0xabc + p;
-        sys->configureGupsPort(p, gp);
+        w.seed = 0xabc + p;
+        sys->configureWorkload(p, w);
     }
     return sys;
 }

@@ -54,11 +54,10 @@ TEST(PowerSystem, StatsExposePowerTree)
 {
     SystemConfig cfg;
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 64;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec w;
+    w.requestBytes = 64;
+    w.seed = 1;
+    sys.configureWorkload(0, w);
     sys.run(2 * kMicrosecond);
     sys.resetStats();
     sys.run(5 * kMicrosecond);

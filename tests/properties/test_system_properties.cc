@@ -27,13 +27,13 @@ TEST_P(SystemConservation, NoRequestLostOrDuplicated)
     const auto &[bytes, vaults, banks] = GetParam();
     SystemConfig cfg;
     System sys(cfg);
+    WorkloadSpec w;
+    w.requestBytes = bytes;
+    w.patternVaults = vaults;
+    w.patternBanks = banks;
     for (PortId p = 0; p < 3; ++p) {
-        GupsPortSpec gp;
-        gp.gen.pattern = sys.addressMap().pattern(vaults, banks);
-        gp.gen.requestBytes = bytes;
-        gp.gen.capacity = cfg.hmc.capacityBytes;
-        gp.gen.seed = 55 + p;
-        sys.configureGupsPort(p, gp);
+        w.seed = 55 + p;
+        sys.configureWorkload(p, w);
     }
     sys.run(8 * kMicrosecond);
     for (PortId p = 0; p < 3; ++p)
@@ -127,11 +127,10 @@ TEST(SystemAccounting, LinkFlitsMatchPacketSizes)
 {
     SystemConfig cfg;
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 64;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec w;
+    w.requestBytes = 64;
+    w.seed = 1;
+    sys.configureWorkload(0, w);
     sys.run(10 * kMicrosecond);
     sys.port(0).setActive(false);
     sys.run(20 * kMicrosecond);
@@ -150,11 +149,9 @@ TEST(SystemAccounting, StatsTreeExposesEveryLayer)
 {
     SystemConfig cfg;
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec w;
+    w.seed = 1;
+    sys.configureWorkload(0, w);
     sys.run(5 * kMicrosecond);
     const auto stats = sys.stats();
     EXPECT_TRUE(stats.count("system.fpga.controller.requests_sent"));
@@ -169,11 +166,9 @@ TEST(SystemAccounting, ResetStatsZeroesWindow)
 {
     SystemConfig cfg;
     System sys(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = sys.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.capacityBytes;
-    sys.configureGupsPort(0, gp);
+    WorkloadSpec w;
+    w.seed = 1;
+    sys.configureWorkload(0, w);
     sys.run(5 * kMicrosecond);
     EXPECT_GT(sys.port(0).monitor().reads(), 0u);
     sys.resetStats();

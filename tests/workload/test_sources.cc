@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit tests for the TrafficSource catalogue: sequences, confinement,
- * empirical Zipf skew, burst gaps and phase switching.
+ * empirical Zipf skew, burst gaps and phase switching; and that the
+ * address pattern alone bounds generated addresses, so a whole-chain
+ * pattern reaches every cube.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <vector>
 
 #include "common/log.h"
 #include "hmc/address_map.h"
@@ -29,7 +33,6 @@ TEST(GupsSource, MatchesSeedAddrGen)
     gp.mode = AddrMode::Random;
     gp.pattern = AddressPattern{(4ull << 30) - 1, 0};
     gp.requestBytes = 64;
-    gp.capacity = 4ull << 30;
     gp.seed = 42;
 
     GupsAddrGen gen(gp);
@@ -91,7 +94,6 @@ TEST(ZipfSource, EmpiricalTargetSkewMatchesTheta)
     for (VaultId v = 0; v < 16; ++v)
         p.targets.push_back(map.vaultPattern(v));
     p.theta = 0.99;
-    p.capacity = map.totalCapacity();
     p.requestBytes = 32;
     p.seed = 7;
     ZipfSource src(p);
@@ -122,7 +124,6 @@ TEST(ZipfSource, ThetaZeroIsUniform)
     for (VaultId v = 0; v < 16; ++v)
         p.targets.push_back(map.vaultPattern(v));
     p.theta = 0.0;
-    p.capacity = map.totalCapacity();
     ZipfSource src(p);
     std::map<VaultId, int> hits;
     const int n = 80000;
@@ -140,7 +141,6 @@ TEST(ZipfSource, HotItemsConcentrateBlocks)
     p.targets.push_back(AddressPattern{map.totalCapacity() - 1, 0});
     p.theta = 0.9;
     p.hotItems = 64;
-    p.capacity = map.totalCapacity();
     p.requestBytes = 32;
     ZipfSource src(p);
     std::map<Addr, int> hits;
@@ -262,6 +262,71 @@ TEST(MixSource, NoLoopFinishesAfterLastPhase)
     WorkloadRequest r;
     EXPECT_TRUE(src.next(0, r));
     EXPECT_FALSE(src.next(5 * kMicrosecond, r));
+}
+
+// ----- the address pattern alone says where addresses fall -----
+
+/** 8-cube cube_high map: the cube field sits above the 4 GB cube. */
+AddressMap
+eightCubeMap()
+{
+    HmcConfig hmc;
+    hmc.chain.numCubes = 8;
+    hmc.chain.interleave = "cube_high";
+    return AddressMap(hmc);
+}
+
+std::size_t
+cubesHit(const AddressMap &map, const std::vector<Addr> &addrs)
+{
+    std::set<CubeId> cubes;
+    for (Addr a : addrs)
+        cubes.insert(map.decodeCube(a));
+    return cubes.size();
+}
+
+TEST(PatternBounds, GupsReachesEveryCube)
+{
+    const AddressMap map = eightCubeMap();
+    GupsSource::Params p;
+    p.gen.pattern = map.pattern(16, 16);
+    GupsAddrGen gen(p.gen);
+    GupsSource src(p);
+    std::vector<Addr> from_gen, from_src;
+    for (int i = 0; i < 2000; ++i) {
+        from_gen.push_back(gen.next());
+        from_src.push_back(pull(src).addr);
+    }
+    EXPECT_EQ(cubesHit(map, from_gen), 8u);
+    EXPECT_EQ(cubesHit(map, from_src), 8u);
+}
+
+TEST(PatternBounds, ZipfReachesEveryCube)
+{
+    const AddressMap map = eightCubeMap();
+    ZipfSource::Params p;
+    p.targets.push_back(map.pattern(16, 16));
+    ZipfSource uniform(p);
+    p.hotItems = 1024;
+    ZipfSource hot(p);
+    std::vector<Addr> from_uniform, from_hot;
+    for (int i = 0; i < 2000; ++i) {
+        from_uniform.push_back(pull(uniform).addr);
+        from_hot.push_back(pull(hot).addr);
+    }
+    EXPECT_EQ(cubesHit(map, from_uniform), 8u);
+    EXPECT_EQ(cubesHit(map, from_hot), 8u);
+}
+
+TEST(PatternBounds, RandomTraceReachesEveryCube)
+{
+    const AddressMap map = eightCubeMap();
+    Rng rng(3);
+    std::vector<Addr> addrs;
+    for (const TraceRecord &r : makeRandomTrace(rng, map.pattern(16, 16),
+                                                2000, 32))
+        addrs.push_back(r.addr);
+    EXPECT_EQ(cubesHit(map, addrs), 8u);
 }
 
 }  // namespace

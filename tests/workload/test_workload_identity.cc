@@ -1,10 +1,11 @@
 /**
  * @file
- * Bit-identity guarantees of the workload refactor: the config-level
- * `workload=gups` path, the legacy GupsPortSpec path and the seed
- * GupsPort behaviour must produce identical results (same counts,
- * identical latency statistics), and the trace path must match the
- * seed StreamPort the same way.  The fig06/07/08 CSVs depend on this.
+ * Identity guarantees of the one port-configuration path: a port
+ * declared through config keys equals the same configureWorkload()
+ * call, a caller-built trace passed as a source override equals the
+ * spec-generated trace, and the figure runners (runGups,
+ * runStreamBatch, runStreamVaults) reproduce pinned results.  The
+ * fig06-14 CSVs depend on this.
  */
 
 #include <gtest/gtest.h>
@@ -28,51 +29,18 @@ expectIdentical(const ExperimentResult &a, const ExperimentResult &b)
     EXPECT_DOUBLE_EQ(a.stddevReadLatencyNs, b.stddevReadLatencyNs);
 }
 
-TEST(WorkloadIdentity, ConfigGupsMatchesLegacyGupsSpec)
+TEST(WorkloadIdentity, ConfigKeysMatchConfigureWorkload)
 {
-    const SystemConfig cfg;
-
-    // Path 1: the legacy spec (what the seed GupsPort took).
-    System legacy(cfg);
-    GupsPortSpec gp;
-    gp.gen.pattern = legacy.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 32;
-    gp.gen.capacity = cfg.hmc.totalCapacityBytes();
-    gp.gen.seed = 2024;
-    legacy.configureGupsPort(0, gp);
-    legacy.run(5 * kMicrosecond);
-    const ExperimentResult a = legacy.measure(15 * kMicrosecond);
-
-    // Path 2: the config-level workload description.
-    System modern(cfg);
-    WorkloadSpec w;
-    w.type = "gups";
-    w.requestBytes = 32;
-    w.patternVaults = 16;
-    w.patternBanks = 16;
-    w.seed = 2024;
-    modern.configureWorkload(0, w);
-    modern.run(5 * kMicrosecond);
-    const ExperimentResult b = modern.measure(15 * kMicrosecond);
-
-    expectIdentical(a, b);
-}
-
-TEST(WorkloadIdentity, ConfigKeysMatchLegacyGupsSpec)
-{
-    // Same as above but through the full Config-file route
-    // (host.workload_ports=1), including warmup handled by System
-    // construction order.
+    // The Config-file route (host.workload_ports=1), configured at
+    // System construction, against the same spec configured by hand.
     const SystemConfig base;
-    System legacy(base);
-    GupsPortSpec gp;
-    gp.gen.pattern = legacy.addressMap().pattern(16, 16);
-    gp.gen.requestBytes = 64;
-    gp.gen.capacity = base.hmc.totalCapacityBytes();
-    gp.gen.seed = 77;
-    legacy.configureGupsPort(0, gp);
-    legacy.run(5 * kMicrosecond);
-    const ExperimentResult a = legacy.measure(10 * kMicrosecond);
+    System direct(base);
+    WorkloadSpec w;
+    w.requestBytes = 64;
+    w.seed = 77;
+    direct.configureWorkload(0, w);
+    direct.run(5 * kMicrosecond);
+    const ExperimentResult a = direct.measure(10 * kMicrosecond);
 
     Config cfg;
     base.toConfig(cfg);
@@ -88,33 +56,71 @@ TEST(WorkloadIdentity, ConfigKeysMatchLegacyGupsSpec)
     expectIdentical(a, b);
 }
 
-TEST(WorkloadIdentity, TraceWorkloadMatchesLegacyStreamSpec)
+TEST(WorkloadIdentity, TraceOverrideMatchesSpecTrace)
 {
     const SystemConfig cfg;
 
-    System legacy(cfg);
+    // A caller-built trace through the source override...
+    System built(cfg);
     Rng rng(314);
-    StreamPortSpec sp;
-    sp.trace = makeRandomTrace(rng, legacy.addressMap().pattern(16, 16),
-                               cfg.hmc.totalCapacityBytes(), 2048, 32);
-    sp.loop = true;
-    legacy.configureStreamPort(0, sp);
-    legacy.run(5 * kMicrosecond);
-    const ExperimentResult a = legacy.measure(10 * kMicrosecond);
+    WorkloadPort &port = built.configureWorkload(
+        0, WorkloadSpec{},
+        std::make_unique<TraceSource>(TraceSource::Params{makeRandomTrace(
+            rng, built.addressMap().pattern(16, 16), 2048, 32)}));
+    // ...selects the stream firmware from the source alone.
+    EXPECT_EQ(port.tags().capacity(), cfg.host.streamWindow);
+    built.run(5 * kMicrosecond);
+    const ExperimentResult a = built.measure(10 * kMicrosecond);
 
-    // The config path generates the synthetic trace from the same
-    // seed, pattern and length, so the replay must be identical.
-    System modern(cfg);
+    // The spec generates the same trace from the same seed, pattern
+    // and length, so the replay must be identical.
+    System generated(cfg);
     WorkloadSpec w;
     w.type = "trace";
     w.requestBytes = 32;
     w.traceLength = 2048;
     w.seed = 314;
-    modern.configureWorkload(0, w);
-    modern.run(5 * kMicrosecond);
-    const ExperimentResult b = modern.measure(10 * kMicrosecond);
+    generated.configureWorkload(0, w);
+    generated.run(5 * kMicrosecond);
+    const ExperimentResult b = generated.measure(10 * kMicrosecond);
 
     expectIdentical(a, b);
+}
+
+TEST(WorkloadIdentity, FigureRunnersMatchPinnedResults)
+{
+    // Pinned small-window results of the runners behind Figs. 6-12:
+    // any drift here moves a figure CSV.
+    GupsSpec g;
+    g.requestBytes = 64;
+    g.numVaults = 8;
+    g.baseVault = 8;
+    g.writePortFraction = 0.25;
+    g.warmup = 2 * kMicrosecond;
+    g.window = 5 * kMicrosecond;
+    g.seed = 3;
+    const ExperimentResult gups = runGups(SystemConfig{}, g);
+    EXPECT_EQ(gups.totalReads, 726u);
+    EXPECT_DOUBLE_EQ(gups.avgReadLatencyNs, 2470.0024931129474);
+
+    StreamBatchSpec b;
+    b.batchSize = 8;
+    b.vault = 3;
+    b.numBanks = 4;
+    b.warmup = 2 * kMicrosecond;
+    b.window = 5 * kMicrosecond;
+    const ExperimentResult batch = runStreamBatch(SystemConfig{}, b);
+    EXPECT_EQ(batch.totalReads, 168u);
+    EXPECT_DOUBLE_EQ(batch.avgReadLatencyNs, 763.25963690476192);
+
+    StreamVaultsSpec v;
+    v.vaults = {0, 5, 9};
+    v.requestBytes = 64;
+    v.warmup = 2 * kMicrosecond;
+    v.window = 5 * kMicrosecond;
+    const ExperimentResult vaults = runStreamVaults(SystemConfig{}, v);
+    EXPECT_EQ(vaults.totalReads, 561u);
+    EXPECT_DOUBLE_EQ(vaults.avgReadLatencyNs, 2500.5443101604269);
 }
 
 TEST(WorkloadIdentity, RmwChainsSurviveTheRefactor)
