@@ -95,6 +95,49 @@ BENCHMARK(BM_EventQueuePendingSkew)
     ->ArgNames({"pending", "skew", "capture"})
     ->ArgsProduct({{64, 1024, 16384}, {100, 4000, 1000000}, {8, 64}});
 
+/**
+ * A fresh Kernel's first two ring laps (~4.2 us simulated), the
+ * start-up every short figure run pays: `pending` self-rescheduling
+ * events, each replaced on firing by one 1..4000 ps later (a
+ * saturated simulation's link/DRAM-scale delays), from time zero
+ * until two laps of the default 512 ps x 4096-bucket ring have
+ * passed.  Counts executed events.
+ */
+void
+BM_EventQueueColdStart(benchmark::State &state)
+{
+    struct Load {
+        Kernel &kernel;
+        std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+        std::uint64_t executed = 0;
+
+        void
+        fire()
+        {
+            ++executed;
+            if (kernel.now() >= Tick(2) * 512 * 4096)
+                return;
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            kernel.scheduleIn(static_cast<Tick>(rng % 4000) + 1,
+                              [this] { fire(); });
+        }
+    };
+    const int pending = static_cast<int>(state.range(0));
+    std::uint64_t executed = 0;
+    for (auto _ : state) {
+        Kernel kernel;
+        Load load{kernel};
+        for (int i = 0; i < pending; ++i)
+            load.fire();
+        kernel.run();
+        executed += load.executed;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+}
+BENCHMARK(BM_EventQueueColdStart)->Arg(64)->Arg(1024);
+
 void
 BM_DramServicePlanning(benchmark::State &state)
 {

@@ -93,10 +93,7 @@ ChainSwitch::setPort(ChainHop kind, LinkId l, SerdesLink *link,
     p.link = link;
     p.outDir = out_dir;
     if (consume_rx) {
-        const LinkDir in_dir = out_dir == LinkDir::HostToCube
-            ? LinkDir::CubeToHost
-            : LinkDir::HostToCube;
-        link->setOnRxAvailable(in_dir,
+        link->setOnRxAvailable(p.inDir(),
                                [this, kind, l] { drainInRx(kind, l); });
     }
 }
@@ -239,9 +236,11 @@ ChainSwitch::pump(Port &p)
 void
 ChainSwitch::pumpAll()
 {
+    // An empty queue has nothing to pump: skipping it is an exact
+    // no-op, and most wired ports are empty on most calls.
     for (auto &kind : ports_) {
         for (Port &p : kind) {
-            if (p.link)
+            if (p.link && !p.q.empty())
                 pump(p);
         }
     }
@@ -293,9 +292,7 @@ ChainSwitch::drainInRx(ChainHop kind, LinkId l)
 {
     ProfileScope ps(prof_, "chain");
     Port &p = port(kind, l);
-    const LinkDir in_dir = p.outDir == LinkDir::HostToCube
-        ? LinkDir::CubeToHost
-        : LinkDir::HostToCube;
+    const LinkDir in_dir = p.inDir();
     while (p.link->rxAvailable(in_dir)) {
         const HmcPacketPtr &head = p.link->rxPeek(in_dir);
         if (head->isRequest() && head->cube == cubeId()) {
@@ -330,9 +327,12 @@ ChainSwitch::drainAllInRx()
 {
     static constexpr ChainHop kKinds[] = {ChainHop::Up, ChainHop::Down,
                                           ChainHop::Wrap, ChainHop::Host};
+    // Skipping an empty RX is an exact no-op: drainInRx's loop would
+    // not run, and noteRxHolStall is only reached with a head waiting.
     for (const ChainHop kind : kKinds) {
         for (LinkId l = 0; l < dev_.numLinks(); ++l) {
-            if (ports_[kindIndex(kind)][l].link)
+            const Port &p = ports_[kindIndex(kind)][l];
+            if (p.link && p.link->rxAvailable(p.inDir()))
                 drainInRx(kind, l);
         }
     }

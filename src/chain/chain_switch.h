@@ -157,6 +157,14 @@ class ChainSwitch : public Component, public ChainLoadProvider
         /** RX head whose head-of-line episode was already counted;
          *  a different (or popped) head starts a new episode. */
         HmcPacketPtr holHead;
+
+        /** The direction this port receives on. */
+        LinkDir
+        inDir() const
+        {
+            return outDir == LinkDir::HostToCube ? LinkDir::CubeToHost
+                                                 : LinkDir::HostToCube;
+        }
     };
 
     static constexpr std::size_t kPortKinds = 4;  // Up, Down, Wrap, Host

@@ -64,8 +64,9 @@ HmcHostController::tickRequests()
     // the usable response bandwidth.
     const LinkDir dir = LinkDir::HostToCube;
     const std::uint32_t num_links = numLinks();
-    std::vector<std::uint32_t> grants(num_links,
-                                      cfg_.requestsPerCyclePerLink);
+    std::vector<std::uint32_t> &grants = grantsScratch_;
+    grants.assign(num_links, cfg_.requestsPerCyclePerLink);
+    std::vector<bool> &req = reqScratch_;
     std::uint32_t idle_links = 0;
     while (idle_links < num_links) {
         LinkId l = static_cast<LinkId>(txNextLink_ % num_links);
@@ -93,7 +94,7 @@ HmcHostController::tickRequests()
         }
         SerdesLink &lk = link(l);
         const CubeId link_cube = attach_.linkCube[l];
-        std::vector<bool> req(ports_.size(), false);
+        req.assign(ports_.size(), false);
         bool any = false;
         for (std::size_t p = 0; p < ports_.size(); ++p) {
             req[p] = ports_[p]->hasRequest() &&

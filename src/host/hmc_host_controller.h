@@ -111,6 +111,11 @@ class HmcHostController : public Component
     /** Entry-link spread (sized numLinks). */
     std::vector<Counter> sentPerLink_;
 
+    // tickRequests() scratch, kept so an FPGA cycle never allocates:
+    // per-link issue grants left and the ports requesting one link.
+    std::vector<std::uint32_t> grantsScratch_;
+    std::vector<bool> reqScratch_;
+
     SerdesLink &link(LinkId l) { return *attach_.links[l]; }
     std::uint32_t numLinks() const
     {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <limits>
 #include <utility>
 
 #include "common/log.h"
@@ -28,7 +27,7 @@ EventQueue::EventQueue(std::uint64_t bucketWidth, std::uint64_t numBuckets)
     PartitionLock lock(mu_);
     while ((Tick(1) << shift_) < bucketWidth)
         ++shift_;
-    ring_.resize(static_cast<std::size_t>(numBuckets));
+    ring_.assign(static_cast<std::size_t>(numBuckets), kNil);
     ringMask_ = static_cast<std::size_t>(numBuckets) - 1;
 }
 
@@ -48,15 +47,14 @@ void
 EventQueue::clear()
 {
     PartitionLock lock(mu_);
-    for (Bucket &b : ring_) {
-        b.v.clear();
-        b.head = 0;
-        b.sorted = false;
-    }
+    std::fill(ring_.begin(), ring_.end(), kNil);
+    cur_.clear();
+    curHead_ = 0;
     far_.clear();
     // Destroys every parked closure; free slots are already empty.
     slots_.clear();
-    freeSlots_.clear();
+    links_.clear();
+    freeHead_ = kNil;
     ringCount_ = 0;
     curIdx_ = 0;
     curBucketStart_ = 0;
@@ -66,9 +64,11 @@ EventQueue::clear()
 std::uint32_t
 EventQueue::parkNew(EventFn &&fn)
 {
-    if (slots_.size() > std::numeric_limits<std::uint32_t>::max())
-        panic("EventQueue: more than 2^32 pending events");
+    // kNil marks list ends, so it can never be a slot index.
+    if (slots_.size() >= kNil)
+        panic("EventQueue: more than 2^32 - 1 pending events");
     slots_.push_back(std::move(fn));
+    links_.emplace_back();
     return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -84,25 +84,23 @@ EventQueue::calendarPushSlow(const Key &k)
     // Past or current-bucket-start times clamp into the current
     // bucket; ordering within the bucket is still exact, and every
     // later bucket holds strictly later times.
-    Bucket &b = ring_[curIdx_];
     ++ringCount_;
-    if (b.sorted && !Earlier{}(b.v.back(), k)) {
-        calendarInsertSorted(b, k);
-        return;
-    }
-    b.v.push_back(k);
+    if (!cur_.empty())
+        pushCurrent(k);
+    else
+        linkIntoBucket(curIdx_, k);
 }
 
 void
-EventQueue::calendarInsertSorted(Bucket &b, const Key &k)
+EventQueue::insertCurrentSorted(const Key &k)
 {
     // Rare out-of-order insert (e.g. a default-priority event
     // scheduled at now while a stats-priority event is still pending
     // at the same tick): shift into place.
     const auto pos =
-        std::upper_bound(b.v.begin() + static_cast<std::ptrdiff_t>(b.head),
-                         b.v.end(), k, Earlier{});
-    b.v.insert(pos, k);
+        std::upper_bound(cur_.begin() + static_cast<std::ptrdiff_t>(curHead_),
+                         cur_.end(), k, Earlier{});
+    cur_.insert(pos, k);
 }
 
 const EventQueue::Key *
@@ -111,15 +109,19 @@ EventQueue::calendarPeek()
     for (;;) {
         if (ringCount_ == 0)
             jumpToFar();
-        Bucket &b = ring_[curIdx_];
-        if (!b.v.empty()) {
-            if (!b.sorted) {
-                std::sort(b.v.begin(), b.v.end(), Earlier{});
-                b.sorted = true;
-            }
-            return &b.v[b.head];
+        std::uint32_t s = ring_[curIdx_];
+        if (s != kNil) {
+            ring_[curIdx_] = kNil;
+            do {
+                const Link &n = links_[s];
+                cur_.push_back(Key{n.when, n.priority, s, n.seq});
+                s = n.next;
+            } while (s != kNil);
+            // The list runs newest first.  Restoring insertion order
+            // before the sort measured slower than sorting as is.
+            std::sort(cur_.begin(), cur_.end(), Earlier{});
+            return &cur_[curHead_];
         }
-        b.sorted = false;
         curIdx_ = (curIdx_ + 1) & ringMask_;
         curBucketStart_ += Tick(1) << shift_;
         pullFar();
@@ -131,14 +133,16 @@ EventQueue::pullFar()
 {
     // Ring advance opened a new bucket at the horizon; migrate every
     // far-future key that now falls inside it.  Far keys are always
-    // > curBucketStart_, so the subtraction cannot wrap.
+    // > curBucketStart_, so the subtraction cannot wrap.  The ring is
+    // never gathered here (it only advances past an empty current
+    // bucket), so every migrated key links into a bucket list.
     const Tick span = ringSpan();
     while (!far_.empty() && far_.front().when - curBucketStart_ < span) {
         std::pop_heap(far_.begin(), far_.end(), Later{});
         const Key k = far_.back();
         far_.pop_back();
-        ring_[static_cast<std::size_t>(k.when >> shift_) & ringMask_]
-            .v.push_back(k);
+        linkIntoBucket(
+            static_cast<std::size_t>(k.when >> shift_) & ringMask_, k);
         ++ringCount_;
     }
 }

@@ -12,15 +12,22 @@
  * now, densely packed in time).  Near-future events go into a
  * power-of-two ring of time buckets; far-future events wait in an
  * overflow min-heap and are pulled into the ring lazily as it
- * advances.  Buckets append unsorted and sort lazily only when a
+ * advances.  Buckets collect unsorted and sort lazily only when a
  * bucket becomes current, so schedule() is O(1) and executeNext() is
  * amortized O(k log k) over the handful of events sharing a bucket.
  *
- * Buckets and the far-future heap hold only 24-byte trivially
- * copyable keys (time, priority, seq and a slot index).  Each event's
- * closure is moved once into a queue-owned slot slab when it is
- * scheduled and moved out when it fires, so sorting, heap sifts and
- * ring migration copy plain keys and never touch a capture.
+ * Each event's closure is moved once into a queue-owned slot slab when
+ * it is scheduled and moved out when it fires.  Beside the closure the
+ * slab keeps the event's ordering key (time, priority, seq) and a
+ * `next` slot index, and a future bucket is just the head of a singly
+ * linked list threaded through those links (Brown's calendar queue,
+ * CACM 31(10), 1988): the ring is one 32-bit head per bucket and needs
+ * no storage of its own, so a fresh queue runs at full speed from its
+ * first lap.  When a bucket becomes current its list is gathered into
+ * one reused vector of 24-byte trivially copyable keys (time,
+ * priority, seq and the slot index), sorted once and drained through
+ * a cursor.  Sorting, heap sifts and ring migration copy plain keys
+ * and never touch a capture.
  *
  * The ordering is exact: for any interleaving of schedule() and
  * executeNext() calls events fire in (time, priority, seq) order, the
@@ -83,7 +90,7 @@ class EventQueue
     /**
      * Schedule @p fn at absolute time @p when.
      * Inline so the common case -- a future time inside the ring
-     * horizon appending to its bucket -- compiles to a handful of
+     * horizon linking into its bucket -- compiles to a handful of
      * instructions at the call site; clamped, far-future and
      * out-of-order inserts take the out-of-line paths.  @p fn is taken
      * by rvalue reference so the closure moves exactly once, into its
@@ -98,19 +105,14 @@ class EventQueue
         const Key k{when, priority, park(std::move(fn)), nextSeq_++};
         ++size_;
         if (when > curBucketStart_ && when - curBucketStart_ < ringSpan()) {
-            Bucket &b =
-                ring_[static_cast<std::size_t>(when >> shift_) & ringMask_];
+            const std::size_t idx =
+                static_cast<std::size_t>(when >> shift_) & ringMask_;
             ++ringCount_;
-            // Only the current bucket is ever sorted, and it is
-            // non-empty (it resets to unsorted when drained).  The
-            // common case -- fresh events at the current tick carry a
-            // larger seq than everything pending -- appends straight
-            // into place.
-            if (!b.sorted || Earlier{}(b.v.back(), k)) {
-                b.v.push_back(k);
+            if (idx != curIdx_ || cur_.empty()) {
+                linkIntoBucket(idx, k);
                 return;
             }
-            calendarInsertSorted(b, k);
+            pushCurrent(k);
             return;
         }
         calendarPushSlow(k);
@@ -139,12 +141,11 @@ class EventQueue
         PartitionLock lock(mu_);
         if (size_ == 0)
             return kTickNever;
-        const Bucket &b = ring_[curIdx_];
-        if (b.sorted)  // sorted implies current and non-empty
-            return b.v[b.head].when;
-        // calendarPeek lazily advances the ring and sorts the current
-        // bucket -- internal bookkeeping that never changes the
-        // abstract queue state, so nextTime stays logically const.
+        if (!cur_.empty())
+            return cur_[curHead_].when;
+        // calendarPeek lazily advances the ring and gathers the
+        // current bucket -- internal bookkeeping that never changes
+        // the abstract queue state, so nextTime stays logically const.
         return const_cast<EventQueue *>(this)->calendarPeek()->when;
     }
 
@@ -164,22 +165,19 @@ class EventQueue
                 panicEmptyExecute();
             --size_;
             ++executed_;
-            Bucket *b = &ring_[curIdx_];
-            if (!b->sorted) {
-                calendarPeek();  // advance + sort; may move the ring
-                b = &ring_[curIdx_];
-            }
-            const Key head = b->v[b->head];
+            if (cur_.empty())
+                calendarPeek();  // advance + gather + sort
+            const Key head = cur_[curHead_];
             when = head.when;
             // Move the closure out and free its slot before invoking
             // it: a handler that schedules may reuse the slot or grow
             // the slab.
             fn = std::move(slots_[head.slot]);
-            freeSlots_.push_back(head.slot);
-            if (++b->head == b->v.size()) {
-                b->v.clear();
-                b->head = 0;
-                b->sorted = false;
+            links_[head.slot].next = freeHead_;
+            freeHead_ = head.slot;
+            if (++curHead_ == cur_.size()) {
+                cur_.clear();
+                curHead_ = 0;
             }
             --ringCount_;
         }
@@ -217,6 +215,24 @@ class EventQueue
     static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>,
                   "queue keys must stay small plain data");
 
+    /**
+     * A slot's list link.  While the slot's event waits in a future
+     * bucket, the link holds its key (less the slot index, which is
+     * the link's own index) and `next` is the bucket's next slot;
+     * while the slot is free, `next` chains the free list.  Keys in
+     * the current bucket or the far heap leave the link unused.
+     */
+    struct Link {
+        Tick when;
+        int priority;
+        std::uint32_t next;
+        std::uint64_t seq;
+    };
+    static_assert(sizeof(Link) == 24, "links must stay key-sized");
+
+    /** End of a bucket list or of the free list. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
     /** Strict fire order (time, priority, seq); an inlinable functor
      *  for the std sort/search algorithms. */
     struct Earlier {
@@ -239,33 +255,42 @@ class EventQueue
         }
     };
 
-    /**
-     * A ring bucket.  Future buckets accumulate keys unsorted; when a
-     * bucket becomes current it is sorted once into ascending fire
-     * order and drained through the head cursor (pop is O(1), no key
-     * ever moves).  Keys scheduled into the current bucket almost
-     * always carry the largest (when, priority, seq) in it -- fresh
-     * events at the current tick get monotonically increasing seq --
-     * so they append in O(1) too; the rare out-of-order insert shifts
-     * into place.  The vector's retained capacity holds keys only, so
-     * 4096 buckets stay cheap to keep warm.
-     */
-    struct Bucket {
-        std::vector<Key> v;
-        std::size_t head = 0; ///< next key to pop (earlier are spent)
-        bool sorted = false;  ///< v[head..) is in ascending fire order
-    };
-
     /** Move @p fn into a free slot (reused LIFO) and return its index. */
     std::uint32_t
     park(EventFn &&fn) HMCSIM_REQUIRES(mu_)
     {
-        if (freeSlots_.empty())
+        if (freeHead_ == kNil)
             return parkNew(std::move(fn));
-        const std::uint32_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
+        const std::uint32_t slot = freeHead_;
+        freeHead_ = links_[slot].next;
         slots_[slot] = std::move(fn);
         return slot;
+    }
+
+    /** Push @p k onto future bucket @p idx's list (order is free:
+     *  the bucket is sorted when it becomes current). */
+    void
+    linkIntoBucket(std::size_t idx, const Key &k) HMCSIM_REQUIRES(mu_)
+    {
+        links_[k.slot] = Link{k.when, k.priority, ring_[idx], k.seq};
+        ring_[idx] = k.slot;
+    }
+
+    /**
+     * Insert @p k into the gathered current bucket.  Keys scheduled
+     * there almost always carry the largest (when, priority, seq) in
+     * it -- fresh events at the current tick get monotonically
+     * increasing seq -- so they append in O(1); the rare out-of-order
+     * insert shifts into place.
+     */
+    void
+    pushCurrent(const Key &k) HMCSIM_REQUIRES(mu_)
+    {
+        if (Earlier{}(cur_.back(), k)) {
+            cur_.push_back(k);
+            return;
+        }
+        insertCurrentSorted(k);
     }
 
     /** Grow the slab by one slot holding @p fn. */
@@ -273,8 +298,9 @@ class EventQueue
     /** Clamped-to-now and beyond-horizon inserts. */
     void calendarPushSlow(const Key &k) HMCSIM_REQUIRES(mu_);
     /** Rare out-of-order insert into the sorted current bucket. */
-    void calendarInsertSorted(Bucket &b, const Key &k) HMCSIM_REQUIRES(mu_);
-    /** Earliest pending key; advances the ring to its bucket. */
+    void insertCurrentSorted(const Key &k) HMCSIM_REQUIRES(mu_);
+    /** Earliest pending key; advances the ring to its bucket and
+     *  gathers that bucket's list into cur_. */
     const Key *calendarPeek() HMCSIM_REQUIRES(mu_);
     /** Move far-future keys now below the ring horizon into it. */
     void pullFar() HMCSIM_REQUIRES(mu_);
@@ -300,26 +326,42 @@ class EventQueue
     std::uint64_t executed_ HMCSIM_GUARDED_BY(mu_) = 0;
     std::size_t size_ HMCSIM_GUARDED_BY(mu_) = 0;
 
-    std::vector<Bucket> ring_ HMCSIM_GUARDED_BY(mu_);
+    /**
+     * The bucket ring: the first slot of each future bucket's list
+     * (kNil when empty).  The current bucket's list is empty once it
+     * has been gathered into cur_.
+     */
+    std::vector<std::uint32_t> ring_ HMCSIM_GUARDED_BY(mu_);
     std::size_t ringMask_ HMCSIM_GUARDED_BY(mu_) = 0;
     /** log2(bucket width in ticks). */
     unsigned shift_ HMCSIM_GUARDED_BY(mu_) = 0;
     std::size_t curIdx_ HMCSIM_GUARDED_BY(mu_) = 0;
     /** Inclusive start of the current bucket. */
     Tick curBucketStart_ HMCSIM_GUARDED_BY(mu_) = 0;
-    /** Pending keys resident in the ring. */
+    /** Pending keys resident in the ring (lists and cur_). */
     std::size_t ringCount_ HMCSIM_GUARDED_BY(mu_) = 0;
+    /**
+     * The gathered current bucket: cur_[curHead_..) in ascending fire
+     * order (pop is O(1), no key ever moves).  Non-empty exactly while
+     * the current bucket is gathered: a drained bucket is cleared, and
+     * later inserts into it link into its list again until the next
+     * peek gathers it.
+     */
+    std::vector<Key> cur_ HMCSIM_GUARDED_BY(mu_);
+    std::size_t curHead_ HMCSIM_GUARDED_BY(mu_) = 0;
     /** Min-heap of keys beyond the ring. */
     std::vector<Key> far_ HMCSIM_GUARDED_BY(mu_);
 
     /**
      * The slot slab: every pending event's closure, indexed by
-     * Key::slot.  Free slots hold empty closures and are listed in
-     * freeSlots_; the slab grows only when the pending population
-     * reaches a new peak, so steady state never allocates.
+     * Key::slot, and beside it (same index) the slot's list link.
+     * Free slots hold empty closures and are chained from freeHead_
+     * through their links; the slab grows only when the pending
+     * population reaches a new peak, so steady state never allocates.
      */
     std::vector<InlineEvent> slots_ HMCSIM_GUARDED_BY(mu_);
-    std::vector<std::uint32_t> freeSlots_ HMCSIM_GUARDED_BY(mu_);
+    std::vector<Link> links_ HMCSIM_GUARDED_BY(mu_);
+    std::uint32_t freeHead_ HMCSIM_GUARDED_BY(mu_) = kNil;
 };
 
 }  // namespace hmcsim

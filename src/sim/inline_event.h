@@ -14,11 +14,12 @@
  * Events are move-only; a move transfers the capture and empties the
  * source.  Storage itself is recycled by the event queue: each
  * scheduled event is moved once into a slot of the queue's slab (a
- * vector of InlineEvents plus a free-slot list, grown only at a new
- * pending-set peak) and moved out when it fires, while buckets and
- * the far-future heap order small plain keys -- after warmup no event
- * path touches the allocator, and no sort or heap sift moves a
- * capture.
+ * vector of InlineEvents beside a vector of key-plus-link records,
+ * grown only at a new pending-set peak) and moved out when it fires.
+ * The links chain future buckets and the free slots through the slab,
+ * and only small plain keys are sorted or heaped -- no event path
+ * touches the allocator once the pending set stops growing, and no
+ * sort or heap sift moves a capture.
  *
  * InlineEvent is the `void()` instantiation of the general
  * InlineFunction template (common/inline_function.h), which the link

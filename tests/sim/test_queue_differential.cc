@@ -80,6 +80,8 @@ class ReferenceQueue
 
     bool empty() const { return heap_.empty(); }
 
+    Tick nextTime() const { return std::get<0>(heap_.top()); }
+
     Tick
     executeNext()
     {
@@ -329,6 +331,142 @@ TEST(QueueDifferential, ClearThenReuse)
 
     const auto ref = executeWithClear<ReferenceQueue>(first, second);
     const auto cal = executeWithClear<SmallCalendar>(first, second);
+    ASSERT_EQ(ref.size(), cal.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(ref[i], cal[i]) << "divergence at event " << i;
+}
+
+/**
+ * Inserts into the bucket that is current, on both sides of its
+ * gather: outside code interleaves schedule() at or just after the
+ * last fire time with nextTime() (which gathers the current bucket)
+ * and executeNext(), and firing events spawn children 0..79 ps later.
+ * With 64 ps buckets a child lands in the gathered current bucket
+ * (appended, or shifted in behind a pending stats-priority event),
+ * in that bucket after it drained and before the next gather, or in
+ * the next bucket.  Peeks are traced as (time, -1).
+ */
+template <typename Q>
+std::vector<std::pair<Tick, int>>
+runCurrentBucketInserts()
+{
+    Q q;
+    std::vector<std::pair<Tick, int>> trace;
+    int nextId = 0;
+    std::function<void(Tick, int)> schedule;
+    std::function<void(int, int, Tick)> fire = [&](int id, int depth,
+                                                   Tick when) {
+        trace.emplace_back(when, id);
+        Rng rng(static_cast<std::uint64_t>(id) * 2654435761u + 3);
+        if (depth < 4 && rng.next(3) != 0)
+            schedule(when + rng.next(80), depth + 1);
+    };
+    schedule = [&](Tick when, int depth) {
+        const int id = nextId++;
+        const int prio = id % 4 == 0 ? EventPriority::kStats
+                                     : EventPriority::kDefault;
+        q.schedule(when,
+                   [&fire, id, depth, when] { fire(id, depth, when); },
+                   prio);
+    };
+    Rng rng(31);
+    Tick now = 0;
+    for (int step = 0; step < 4000; ++step) {
+        switch (rng.next(4)) {
+        case 0:
+        case 1:
+            schedule(now + rng.next(80), 0);
+            break;
+        case 2:
+            if (!q.empty())
+                trace.emplace_back(q.nextTime(), -1);
+            break;
+        default:
+            if (!q.empty())
+                now = q.executeNext();
+            break;
+        }
+    }
+    while (!q.empty())
+        q.executeNext();
+    return trace;
+}
+
+TEST(QueueDifferential, CurrentBucketInsertsAroundGather)
+{
+    const auto ref = runCurrentBucketInserts<ReferenceQueue>();
+    const auto cal = runCurrentBucketInserts<SmallCalendar>();
+    ASSERT_GT(ref.size(), 4000u);
+    ASSERT_EQ(ref.size(), cal.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(ref[i], cal[i]) << "divergence at trace entry " << i;
+}
+
+TEST(QueueDifferential, FarMigrationAcrossLaps)
+{
+    // Times spread over ~12 laps of the 16 ns ring, dense enough that
+    // the ring is never empty: it advances bucket by bucket and every
+    // step migrates far-heap keys into bucket lists (no re-anchor
+    // jumps).  Repeated (time, priority) pairs check that FIFO order
+    // survives the heap and the lists; stats-priority keys check the
+    // priority tie-break after migration.
+    Rng rng(11);
+    std::vector<Op> ops;
+    for (int i = 0; i < 3000; ++i) {
+        Op op;
+        op.when = i % 10 == 0 ? Tick(5000) * rng.next(40)
+                              : rng.next(200000);
+        op.priority = i % 6 == 0 ? EventPriority::kStats
+                                 : EventPriority::kDefault;
+        op.id = i;
+        ops.push_back(op);
+    }
+    expectIdenticalOrder(ops);
+}
+
+/**
+ * Drain a dense first workload to the middle of a bucket -- the
+ * current bucket gathered and partly popped, later buckets holding
+ * lists, the far heap non-empty -- clear(), then run a second workload
+ * on the same object, including times in the bucket that was current
+ * and in bucket 0.  Returns the fire order; @p midBucket reports
+ * whether the clear really hit a partly drained bucket.
+ */
+template <typename Q>
+std::vector<int>
+executeClearMidLap(bool &midBucket)
+{
+    Q q;
+    std::vector<int> order;
+    const auto add = [&q, &order](Tick when, int id, int prio) {
+        q.schedule(when, [&order, id] { order.push_back(id); }, prio);
+    };
+    Rng rng(5);
+    for (int i = 0; i < 600; ++i)
+        add(rng.next(6000) + (i % 50 == 0 ? 100000 : 0), i,
+            i % 3 == 0 ? EventPriority::kStats : EventPriority::kDefault);
+    Tick last = 0;
+    for (int i = 0; i < 301; ++i)
+        last = q.executeNext();
+    midBucket = q.nextTime() / 64 == last / 64;
+    q.clear();
+    for (int i = 0; i < 300; ++i)
+        add(i % 2 == 0 ? last + rng.next(64) : rng.next(40000), 1000 + i,
+            i % 5 == 0 ? EventPriority::kStats : EventPriority::kDefault);
+    while (!q.empty())
+        q.executeNext();
+    return order;
+}
+
+TEST(QueueDifferential, ClearMidLapThenReuse)
+{
+    bool refMid = false;
+    bool calMid = false;
+    const auto ref = executeClearMidLap<ReferenceQueue>(refMid);
+    const auto cal = executeClearMidLap<SmallCalendar>(calMid);
+    EXPECT_TRUE(calMid);
+    EXPECT_EQ(refMid, calMid);
+    ASSERT_EQ(ref.size(), 601u);
     ASSERT_EQ(ref.size(), cal.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
         ASSERT_EQ(ref[i], cal[i]) << "divergence at event " << i;
